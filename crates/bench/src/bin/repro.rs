@@ -271,13 +271,16 @@ fn run_experiment(name: &str, scale: Scale, csv_dir: &Option<PathBuf>) -> String
     out.buf
 }
 
-/// Flags a name takes a value for (so positional parsing can skip it).
-const VALUE_FLAGS: &[&str] = &["--csv", "--images", "--jobs", "--json"];
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
+/// Usage text for `--help` and for flag errors.
+fn usage() -> String {
+    format!(
+        "usage: repro [--paper] [--timings] [--jobs N] [--csv DIR] [--images DIR] \
+         [--json FILE] [EXPERIMENT... | all]\n       \
+         repro analyze|racecheck|autotune|converge|serve [ARGS...]\n\
+         \n\
+         Experiments: {}",
+        EXPERIMENTS.join(" ")
+    )
 }
 
 fn main() {
@@ -318,17 +321,43 @@ fn main() {
         }
         std::process::exit(ihw_analyze::contraction::run(rest));
     }
-    if let Some(flag) = args.last().filter(|a| VALUE_FLAGS.contains(&a.as_str())) {
-        eprintln!("{flag} expects a value");
-        std::process::exit(2);
+    let mut paper = false;
+    let mut timings = false;
+    let mut csv_dir = None;
+    let mut image_dir = None;
+    let mut json_path = None;
+    let mut jobs_arg = None;
+    let mut requested: Vec<&str> = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--help" | "-h" => {
+                println!("{}", usage());
+                return;
+            }
+            "--paper" => paper = true,
+            "--timings" => timings = true,
+            "--csv" | "--images" | "--json" | "--jobs" => {
+                let Some(value) = it.next() else {
+                    eprintln!("{arg} expects a value");
+                    std::process::exit(2);
+                };
+                match arg.as_str() {
+                    "--csv" => csv_dir = Some(PathBuf::from(value)),
+                    "--images" => image_dir = Some(PathBuf::from(value)),
+                    "--json" => json_path = Some(PathBuf::from(value)),
+                    _ => jobs_arg = Some(value),
+                }
+            }
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown flag '{flag}'\n{}", usage());
+                std::process::exit(2);
+            }
+            name => requested.push(name),
+        }
     }
-    let paper = args.iter().any(|a| a == "--paper");
-    let timings = args.iter().any(|a| a == "--timings");
     let scale = if paper { Scale::Paper } else { Scale::Quick };
-    let csv_dir = flag_value(&args, "--csv").map(PathBuf::from);
-    let image_dir = flag_value(&args, "--images").map(PathBuf::from);
-    let json_path = flag_value(&args, "--json").map(PathBuf::from);
-    let jobs = match flag_value(&args, "--jobs") {
+    let jobs = match jobs_arg {
         Some(v) => match v.parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => {
@@ -347,22 +376,6 @@ fn main() {
         }
     }
 
-    let mut skip_next = false;
-    let requested: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if VALUE_FLAGS.contains(&a.as_str()) {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
     let requested = if requested.is_empty() || requested.contains(&"all") {
         EXPERIMENTS.to_vec()
     } else {

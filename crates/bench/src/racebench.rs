@@ -1,25 +1,26 @@
-//! Kernel-throughput benchmark for the racecheck-gated parallel launch
-//! path: interpreted-sequential reference vs engine-sequential vs
-//! engine-parallel launches of every stock kernel × stock config, with
-//! a three-way bit-identity check folded into every measurement.
+//! Kernel-throughput benchmark for the proof-gated parallel launch
+//! path: interpreted-sequential reference vs compiled-sequential vs
+//! compiled-parallel launches of every stock kernel × stock config,
+//! with a three-way bit-identity check folded into every measurement.
+//! The compiled engine is the only production engine; the interpreter
+//! (`WarpInterpreter::launch_sequential`) is the reference oracle.
 //! Records `BENCH_kernel_throughput.json` (schema `ihw-racebench/3`).
 //!
 //! Schema 3 additions over schema 2:
 //! - every row records the `"engine"` that served the measured
-//!   launches (`interpreted` or `compiled` — see
-//!   [`gpu_sim::isa::ExecEngine`]); the compiled engine lowers the
+//!   launches — always `compiled`, which lowers the
 //!   `(Program, IhwConfig)` pair once and runs lanes as tight loops;
 //! - `"compile_seconds"`: the one-time plan-lowering cost the plan
 //!   cache amortizes across launches, timed separately so it can be
 //!   compared against the per-launch savings;
 //! - `"interp_seconds"` and `"speedup_vs_interp"`: the
-//!   interpreted-sequential reference time and the engine-sequential
+//!   interpreted-sequential reference time and the compiled-sequential
 //!   speedup over it — the headline number of the compiled engine
 //!   (gated in CI via `--min-compiled-speedup`, a geomean floor);
 //! - `"sequential_seconds"` / `"parallel_seconds"` / `"speedup"` keep
-//!   their schema-2 meaning but both sides now run on the row's
-//!   engine, so the parallel speedup is measured against the engine's
-//!   own sequential body, not against a slower interpreter.
+//!   their schema-2 meaning but both sides run on the compiled engine,
+//!   so the parallel speedup is measured against the compiled
+//!   sequential body, not against a slower interpreter.
 //!
 //! Timing goes through [`Stopwatch`] — the workspace's single
 //! sanctioned wall-clock read (`ihw-lint` rule L003) — so this module
@@ -29,7 +30,6 @@ use crate::runner::report::Stopwatch;
 use gpu_sim::deps::footprints;
 use gpu_sim::isa::{
     CutoverPolicy, ExecEngine, Program, WarpInterpreter, DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
-    DEFAULT_PARALLEL_OVERHEAD_OPS,
 };
 use ihw_core::config::IhwConfig;
 
@@ -49,36 +49,33 @@ pub struct ThroughputRow {
     pub kernel: String,
     /// Config label (as in `ihw_analyze::stock_configs`).
     pub config: String,
-    /// Engine label (`interpreted` / `compiled`) the sequential and
-    /// parallel measurements ran on.
+    /// Engine label the sequential and parallel measurements ran on
+    /// (always `compiled`).
     pub engine: String,
-    /// One-time `(Program, IhwConfig)` plan-lowering seconds (0 for
-    /// the interpreted engine, which has no lowering step).
+    /// One-time `(Program, IhwConfig)` plan-lowering seconds.
     pub compile_seconds: f64,
     /// Best-of-N **interpreted**-sequential launch seconds — the
     /// engine-independent reference everything is compared against.
     pub interp_seconds: f64,
-    /// Best-of-N engine-sequential launch seconds.
+    /// Best-of-N compiled-sequential launch seconds.
     pub sequential_seconds: f64,
-    /// Best-of-N engine-parallel launch seconds (same thread count).
+    /// Best-of-N compiled-parallel launch seconds (same thread count).
     pub parallel_seconds: f64,
-    /// `sequential_seconds / parallel_seconds` — what fanning out buys
-    /// on this engine.
+    /// `sequential_seconds / parallel_seconds` — what fanning out buys.
     pub speedup: f64,
-    /// `interp_seconds / sequential_seconds` — what the engine itself
-    /// buys over per-thread re-interpretation (~1.0 on the
-    /// interpreted engine, the headline gain on the compiled one).
+    /// `interp_seconds / sequential_seconds` — what the compiled
+    /// engine buys over per-thread re-interpretation.
     pub speedup_vs_interp: f64,
-    /// Whether the engine-parallel launch actually took a parallel
-    /// path (it falls back to sequential unless the proof holds and
-    /// the cutover estimate favours fanning out).
+    /// Whether the compiled-parallel launch actually took a parallel
+    /// path (it falls back to sequential unless the direct-write proof
+    /// holds and the cutover estimate favours fanning out).
     pub parallel_used: bool,
     /// Launch-path label from [`gpu_sim::isa::LaunchDecision::label`]:
-    /// `direct` / `journal` when parallel, `cutover` / `unproven` /
-    /// `sequential` when the launch stayed on one thread.
+    /// `direct` when parallel, `cutover` / `unproven` / `sequential`
+    /// when the launch stayed on one thread.
     pub path: String,
     /// Whether all three runs (interpreted-sequential,
-    /// engine-sequential, engine-parallel) matched bit-for-bit in
+    /// compiled-sequential, compiled-parallel) matched bit-for-bit in
     /// buffers and count-for-count in op counters.
     pub bit_identical: bool,
 }
@@ -123,8 +120,6 @@ pub struct MeasureOpts {
     pub cutover: CutoverPolicy,
     /// Adaptive-cutover threshold in estimated ops.
     pub overhead_ops: u64,
-    /// Engine serving the sequential and parallel measurements.
-    pub engine: ExecEngine,
 }
 
 impl Default for MeasureOpts {
@@ -135,7 +130,6 @@ impl Default for MeasureOpts {
             repeats: 3,
             cutover: CutoverPolicy::Adaptive,
             overhead_ops: DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
-            engine: ExecEngine::Compiled,
         }
     }
 }
@@ -168,15 +162,7 @@ fn best_of<F: FnMut()>(repeats: u32, mut f: F) -> f64 {
     best
 }
 
-/// The engine's compile-time default cutover threshold.
-fn default_overhead_ops(engine: ExecEngine) -> u64 {
-    match engine {
-        ExecEngine::Interpreted => DEFAULT_PARALLEL_OVERHEAD_OPS,
-        ExecEngine::Compiled => DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
-    }
-}
-
-/// Estimates the adaptive-cutover threshold for this host and engine:
+/// Estimates the adaptive-cutover threshold for this host:
 /// the number of launch ops whose sequential execution costs about as
 /// much as one parallel fan-out.
 ///
@@ -187,15 +173,13 @@ fn default_overhead_ops(engine: ExecEngine) -> u64 {
 /// The product converts that overhead into the op-count denomination
 /// `gpu-sim` uses (it may not read the clock itself, `ihw-lint` rule
 /// L003 — so the calibration lives here and the result is handed over
-/// via `set_parallel_overhead_ops`). Calibration is per engine: a
-/// compiled op is several times cheaper than an interpreted one, so
-/// the same wall-clock overhead costs proportionally more ops.
+/// via `set_parallel_overhead_ops`).
 ///
-/// Falls back to the engine's default constant when `workers <= 1`
-/// (nothing to calibrate) or the timings are degenerate.
-pub fn calibrate_overhead_ops(workers: usize, repeats: u32, engine: ExecEngine) -> u64 {
+/// Falls back to [`DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS`] when
+/// `workers <= 1` (nothing to calibrate) or the timings are degenerate.
+pub fn calibrate_overhead_ops(workers: usize, repeats: u32) -> u64 {
     if workers <= 1 {
-        return default_overhead_ops(engine);
+        return DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS;
     }
     let prog = gpu_sim::programs::saxpy(2.0);
     let cfg = IhwConfig::default();
@@ -204,7 +188,7 @@ pub fn calibrate_overhead_ops(workers: usize, repeats: u32, engine: ExecEngine) 
     // Sequential ops/second at a size large enough to swamp timer noise.
     let big: u32 = 1 << 14;
     let big_base = seed_buffers(&prog, big);
-    let mut seq_big = WarpInterpreter::new(cfg).with_engine(engine);
+    let mut seq_big = WarpInterpreter::new(cfg);
     let seq_big_seconds = best_of(reps, || {
         let mut bufs = big_base.clone();
         seq_big.launch(&prog, big, &mut bufs).expect("saxpy runs");
@@ -216,14 +200,13 @@ pub fn calibrate_overhead_ops(workers: usize, repeats: u32, engine: ExecEngine) 
     let tiny: u32 = 64;
     let tiny_base = seed_buffers(&prog, tiny);
     let mut par = WarpInterpreter::new(cfg)
-        .with_engine(engine)
         .with_workers(workers)
         .with_cutover(CutoverPolicy::ForceParallel);
     let par_tiny_seconds = best_of(reps, || {
         let mut bufs = tiny_base.clone();
         par.launch(&prog, tiny, &mut bufs).expect("saxpy runs");
     });
-    let mut seq_tiny = WarpInterpreter::new(cfg).with_engine(engine);
+    let mut seq_tiny = WarpInterpreter::new(cfg);
     let seq_tiny_seconds = best_of(reps, || {
         let mut bufs = tiny_base.clone();
         seq_tiny.launch(&prog, tiny, &mut bufs).expect("saxpy runs");
@@ -234,12 +217,12 @@ pub fn calibrate_overhead_ops(workers: usize, repeats: u32, engine: ExecEngine) 
     if estimate.is_finite() {
         estimate.max(1.0) as u64
     } else {
-        default_overhead_ops(engine)
+        DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS
     }
 }
 
 /// Measures one kernel under one config: the interpreted-sequential
-/// reference, then engine-sequential and engine-parallel launches over
+/// reference, then compiled-sequential and compiled-parallel launches over
 /// the same inputs, asserting nothing — the three-way bit-identity
 /// verdict is recorded in the row (the differential test suite is the
 /// enforcing gate; the benchmark only reports).
@@ -250,7 +233,6 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
         repeats,
         cutover,
         overhead_ops,
-        engine,
     } = opts;
     let base = seed_buffers(prog, threads);
 
@@ -268,22 +250,16 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
 
     // One-time lowering cost (the plan cache amortizes this away; it
     // is timed separately so the record keeps it honest).
-    let compile_seconds = match engine {
-        ExecEngine::Interpreted => 0.0,
-        ExecEngine::Compiled => {
-            let sw = Stopwatch::start();
-            let plan = gpu_sim::plan::compile(prog, cfg);
-            let elapsed = sw.elapsed_seconds();
-            assert_eq!(plan.len(), prog.instrs().len());
-            elapsed
-        }
-    };
+    let sw = Stopwatch::start();
+    let plan = gpu_sim::plan::compile(prog, cfg);
+    let compile_seconds = sw.elapsed_seconds();
+    assert_eq!(plan.len(), prog.instrs().len());
 
-    // Engine-sequential: worker budget 1 keeps `launch` on the
-    // sequential body of the selected engine. One warm-up launch
-    // populates the plan cache so the timed loop measures steady state.
+    // Compiled-sequential: worker budget 1 keeps `launch` on the
+    // sequential body. One warm-up launch populates the plan cache so
+    // the timed loop measures steady state.
     let mut seq_bufs = Vec::new();
-    let mut seq_interp = WarpInterpreter::new(*cfg).with_engine(engine);
+    let mut seq_interp = WarpInterpreter::new(*cfg);
     {
         let mut bufs = base.clone();
         seq_interp
@@ -300,10 +276,9 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
         seq_bufs = bufs;
     });
 
-    // Engine-parallel: same engine, full worker budget.
+    // Compiled-parallel: full worker budget.
     let mut par_bufs = Vec::new();
     let mut par_interp = WarpInterpreter::new(*cfg)
-        .with_engine(engine)
         .with_workers(workers)
         .with_cutover(cutover);
     par_interp.set_parallel_overhead_ops(overhead_ops);
@@ -344,7 +319,7 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
     ThroughputRow {
         kernel: prog.name().to_string(),
         config: label.to_string(),
-        engine: engine.label().to_string(),
+        engine: ExecEngine::Compiled.label().to_string(),
         compile_seconds,
         interp_seconds,
         sequential_seconds,
@@ -360,13 +335,8 @@ pub fn measure(prog: &Program, cfg: &IhwConfig, label: &str, opts: MeasureOpts) 
 /// Runs the benchmark over every stock kernel × stock config under the
 /// production `Adaptive` cutover, calibrating the overhead threshold
 /// once up front.
-pub fn run_stock(
-    threads: u32,
-    workers: usize,
-    repeats: u32,
-    engine: ExecEngine,
-) -> ThroughputReport {
-    let overhead_ops = calibrate_overhead_ops(workers, repeats, engine);
+pub fn run_stock(threads: u32, workers: usize, repeats: u32) -> ThroughputReport {
+    let overhead_ops = calibrate_overhead_ops(workers, repeats);
     let mut rows = Vec::new();
     for prog in ihw_analyze::stock_kernels() {
         for (label, cfg) in ihw_analyze::stock_configs() {
@@ -380,13 +350,12 @@ pub fn run_stock(
                     repeats,
                     cutover: CutoverPolicy::Adaptive,
                     overhead_ops,
-                    engine,
                 },
             ));
         }
     }
     ThroughputReport {
-        engine: engine.label().to_string(),
+        engine: ExecEngine::Compiled.label().to_string(),
         threads,
         workers,
         workers_clamped: false,
@@ -540,7 +509,6 @@ pub fn run_cli(args: &[String]) -> i32 {
     let mut repeats: u32 = 3;
     let mut min_speedup: Option<f64> = None;
     let mut min_compiled_speedup: Option<f64> = None;
-    let mut engine = ExecEngine::Compiled;
     let mut out_path = std::path::PathBuf::from(BENCH_FILE);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -551,7 +519,6 @@ pub fn run_cli(args: &[String]) -> i32 {
             | "--repeats"
             | "--min-speedup"
             | "--min-compiled-speedup"
-            | "--engine"
             | "--out" => {
                 let Some(value) = it.next() else {
                     eprintln!("{arg} expects a value");
@@ -586,20 +553,6 @@ pub fn run_cli(args: &[String]) -> i32 {
                         .parse()
                         .map(|v: f64| min_compiled_speedup = Some(v.max(0.0)))
                         .is_ok(),
-                    "--engine" => match value.as_str() {
-                        "interpreted" => {
-                            engine = ExecEngine::Interpreted;
-                            true
-                        }
-                        "compiled" => {
-                            engine = ExecEngine::Compiled;
-                            true
-                        }
-                        _ => {
-                            eprintln!("--engine expects 'interpreted' or 'compiled'");
-                            return 2;
-                        }
-                    },
                     _ => {
                         out_path = std::path::PathBuf::from(value);
                         true
@@ -613,18 +566,16 @@ pub fn run_cli(args: &[String]) -> i32 {
             "--help" | "-h" => {
                 println!(
                     "usage: repro racecheck --bench [--threads N] [--workers N] \
-                     [--repeats N] [--engine interpreted|compiled] [--min-speedup X] \
-                     [--min-compiled-speedup X] [--out FILE]\n\
+                     [--repeats N] [--min-speedup X] [--min-compiled-speedup X] \
+                     [--out FILE]\n\
                      \n\
                      The default worker budget ({DEFAULT_WORKERS}) is clamped to the host's\n\
                      available parallelism; pass --workers to override the clamp.\n\
                      All counts must be positive — 0 is rejected, not clamped.\n\
-                     --engine selects the execution engine measured against the\n\
-                     interpreted-sequential reference (default: compiled).\n\
                      --min-speedup X fails the run (exit 1) when any row that took a\n\
                      parallel path recorded a speedup below X.\n\
                      --min-compiled-speedup X fails the run (exit 1) when the geomean\n\
-                     engine-vs-interpreted sequential speedup falls below X."
+                     compiled-vs-interpreted sequential speedup falls below X."
                 );
                 return 0;
             }
@@ -639,7 +590,7 @@ pub fn run_cli(args: &[String]) -> i32 {
         Some(w) => (w, false),
         None => (DEFAULT_WORKERS.min(host).max(1), host < DEFAULT_WORKERS),
     };
-    let mut report = run_stock(threads, workers, repeats, engine);
+    let mut report = run_stock(threads, workers, repeats);
     report.workers_clamped = workers_clamped;
     print!("{}", report.render());
     if let Err(e) = std::fs::write(&out_path, report.to_json()) {
@@ -716,7 +667,6 @@ mod tests {
                 repeats: 1,
                 cutover: CutoverPolicy::ForceParallel,
                 overhead_ops: 1,
-                engine: ExecEngine::Compiled,
             },
         );
         assert!(row.bit_identical, "all three runs must match");
@@ -725,27 +675,6 @@ mod tests {
         assert_eq!(row.engine, "compiled");
         assert!(row.compile_seconds >= 0.0);
         assert!(row.sequential_seconds >= 0.0 && row.parallel_seconds >= 0.0);
-    }
-
-    #[test]
-    fn interpreted_engine_rows_have_no_compile_cost() {
-        let prog = programs::saxpy(2.0);
-        let row = measure(
-            &prog,
-            &IhwConfig::precise(),
-            "precise",
-            MeasureOpts {
-                threads: 128,
-                workers: 2,
-                repeats: 1,
-                cutover: CutoverPolicy::ForceParallel,
-                overhead_ops: 1,
-                engine: ExecEngine::Interpreted,
-            },
-        );
-        assert_eq!(row.engine, "interpreted");
-        assert_eq!(row.compile_seconds, 0.0);
-        assert!(row.bit_identical);
     }
 
     #[test]
@@ -761,7 +690,6 @@ mod tests {
                 repeats: 1,
                 cutover: CutoverPolicy::ForceSequential,
                 overhead_ops: 1,
-                engine: ExecEngine::Compiled,
             },
         );
         assert!(!row.parallel_used);
@@ -771,7 +699,7 @@ mod tests {
 
     #[test]
     fn json_record_shape() {
-        let report = run_stock(64, 2, 1, ExecEngine::Compiled);
+        let report = run_stock(64, 2, 1);
         assert_eq!(report.rows.len(), 4 * 5, "kernels × configs");
         assert!(report.rows.iter().all(|r| r.bit_identical));
         assert!(report.geomean_speedup_vs_interp() > 0.0);

@@ -1,0 +1,53 @@
+//! Command-line grammar of the `repro` binary: unknown flags are
+//! rejected before any experiment runs, `--help` / `-h` print usage
+//! and run nothing, and the documented flag forms keep working.
+
+use std::process::{Command, Output};
+
+fn repro(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .output()
+        .expect("repro binary runs")
+}
+
+fn text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+#[test]
+fn unknown_flag_is_rejected_with_usage() {
+    let out = repro(&["--bogus-flag"]);
+    assert_eq!(out.status.code(), Some(2), "unknown flag must exit 2");
+    let stderr = text(&out.stderr);
+    assert!(stderr.contains("--bogus-flag"), "names the flag: {stderr}");
+    assert!(stderr.contains("usage: repro"), "prints usage: {stderr}");
+    assert!(
+        !text(&out.stdout).contains("==="),
+        "no experiment may run before the flag is rejected"
+    );
+}
+
+#[test]
+fn help_prints_usage_and_runs_nothing() {
+    for flag in ["--help", "-h"] {
+        let out = repro(&[flag]);
+        assert_eq!(out.status.code(), Some(0), "{flag} exits 0");
+        let stdout = text(&out.stdout);
+        assert!(stdout.contains("usage: repro"), "{flag}: {stdout}");
+        assert!(!stdout.contains("==="), "{flag} must not run experiments");
+    }
+}
+
+#[test]
+fn value_flags_and_experiment_names_still_parse() {
+    let out = repro(&["--jobs", "1", "--timings", "table2"]);
+    assert_eq!(out.status.code(), Some(0), "{}", text(&out.stderr));
+    let stdout = text(&out.stdout);
+    assert!(stdout.contains("=== Table 2"), "{stdout}");
+    assert!(!stdout.contains("=== Table 1 "), "only table2 runs");
+
+    let out = repro(&["table2", "--jobs"]);
+    assert_eq!(out.status.code(), Some(2), "trailing value flag exits 2");
+    assert!(text(&out.stderr).contains("--jobs expects a value"));
+}

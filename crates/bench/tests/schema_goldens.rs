@@ -344,7 +344,7 @@ fn converge_document_parses_with_its_schema_tag() {
 
 #[test]
 fn racebench_document_parses_with_its_schema_tag() {
-    let report = ihw_bench::racebench::run_stock(32, 1, 1, gpu_sim::isa::ExecEngine::Compiled);
+    let report = ihw_bench::racebench::run_stock(32, 1, 1);
     assert_golden(&report.to_json(), "ihw-racebench/3");
 }
 

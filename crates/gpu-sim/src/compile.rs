@@ -18,8 +18,7 @@
 //! one compiled op processes a whole block of threads as slice
 //! arithmetic. Loads and stores go through [`LaneMem`], which has an
 //! in-place sequential implementation and a chunk-window
-//! implementation for the proof-gated parallel path (mirroring the
-//! interpreter's `DirectChunkMem`).
+//! implementation for the proof-gated parallel path.
 
 use crate::deps::AffineIndex;
 use ihw_core::ac_multiplier::{AcMulConfig, MulPath};
@@ -344,8 +343,8 @@ pub(crate) trait LaneMem {
     fn store_bcast(&mut self, buf: usize, e: usize, src: &[f32]);
 }
 
-/// Sequential memory: loads and stores hit the buffers in place (the
-/// compiled analogue of the interpreter's `DirectMem`).
+/// Sequential memory: loads and stores hit the buffers in place, as in
+/// the interpreter's `exec_step`.
 pub(crate) struct SeqMem<'a> {
     /// The launch's global buffers.
     pub buffers: &'a mut [Vec<f32>],
@@ -374,9 +373,9 @@ impl LaneMem for SeqMem<'_> {
 }
 
 /// One written buffer's dense output window for a tid-chunk: element
-/// `start + p` of buffer `buf` lives at `vals[p]` (the compiled twin of
-/// the interpreter's `ChunkOut`; windows of distinct chunks tile the
-/// output without overlap under the `DirectWrite` proof).
+/// `start + p` of buffer `buf` lives at `vals[p]` (windows of distinct
+/// chunks tile the output without overlap under the direct-write
+/// proof).
 #[derive(Debug)]
 pub(crate) struct Window {
     /// Buffer the window belongs to.
@@ -390,7 +389,7 @@ pub(crate) struct Window {
 
 /// Direct-write chunk memory for the compiled parallel path: loads read
 /// the shared launch-entry buffers in place; loads of the thread's own
-/// output slot — the only aliasing the `DirectWrite` proof admits — are
+/// output slot — the only aliasing the direct-write proof admits — are
 /// served from the chunk's window; stores write the window.
 pub(crate) struct ChunkMem<'a> {
     base: &'a [Vec<f32>],
@@ -436,7 +435,7 @@ impl<'a> ChunkMem<'a> {
 impl LaneMem for ChunkMem<'_> {
     fn load_lane(&mut self, buf: usize, off: i64, lo: u32, dst: &mut [f32]) {
         if let Some(&Some(w)) = self.map.get(buf) {
-            // The DirectWrite proof guarantees a lane load of a written
+            // The direct-write proof guarantees a lane load of a written
             // buffer is the thread's own output slot (same offset).
             let out = &self.outs[w];
             let p = (i64::from(lo) + off - out.start) as usize;
@@ -449,7 +448,7 @@ impl LaneMem for ChunkMem<'_> {
 
     fn load_bcast(&mut self, buf: usize, e: usize, dst: &mut [f32]) {
         // A broadcast element of a written buffer never aliases any
-        // store under DirectWrite, so launch-entry data is correct.
+        // store under the direct-write proof, so launch-entry data is correct.
         dst.fill(self.base[buf][e]);
     }
 
@@ -461,7 +460,7 @@ impl LaneMem for ChunkMem<'_> {
     }
 
     fn store_bcast(&mut self, _buf: usize, _e: usize, _src: &[f32]) {
-        unreachable!("broadcast stores are journal-shaped, never direct-write");
+        unreachable!("broadcast stores have no direct-write proof");
     }
 }
 
@@ -471,7 +470,7 @@ impl LaneMem for ChunkMem<'_> {
 ///
 /// Instruction-major order is observationally identical to the
 /// sequential tid-major order only when lane loads of written buffers
-/// are own-slot (the `DirectWrite` shape); other plans must drive this
+/// are own-slot (the direct-write proof); other plans must drive this
 /// with `n == 1` (scalar mode), which *is* the sequential order.
 pub(crate) fn exec_block<M: LaneMem>(
     ops: &[CompiledOp],

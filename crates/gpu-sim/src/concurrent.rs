@@ -25,11 +25,11 @@
 //!   panic is recovered for the same reason.
 //!
 //! Determinism carries over unchanged: launches are serialized, each
-//! starts from a per-launch-reset context, and the underlying engines
-//! are bit-identical at any worker count — so any interleaving of
-//! requests produces byte-identical per-request outputs to running
-//! them sequentially (asserted by `ihw-bench`'s serve concurrency
-//! tests).
+//! starts from a per-launch-reset context, and the compiled engine is
+//! bit-identical to the interpreted reference at any worker count — so
+//! any interleaving of requests produces byte-identical per-request
+//! outputs to running them sequentially (asserted by `ihw-bench`'s
+//! serve concurrency tests).
 
 use crate::isa::{ExecError, LaunchStats, Program, WarpInterpreter};
 use crate::plan::PlanCacheStats;

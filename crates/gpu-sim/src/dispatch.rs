@@ -117,24 +117,6 @@ impl FpCtx {
         }
     }
 
-    /// Folds another context's counters — and captured trace, when both
-    /// sides are tracing — into this one.
-    ///
-    /// The parallel kernel launch path runs each thread chunk on a fresh
-    /// context and absorbs them back **in tid order**, so the merged
-    /// counters and trace are identical to a sequential run's.
-    pub fn absorb(&mut self, other: &FpCtx) {
-        self.counts.merge(&other.counts);
-        self.int_ops += other.int_ops;
-        self.mem_ops += other.mem_ops;
-        self.precise_mul_ops += other.precise_mul_ops;
-        if let Some(t) = &mut self.trace {
-            if let Some(o) = &other.trace {
-                t.extend_from_slice(o);
-            }
-        }
-    }
-
     /// Credits a precomputed batch of counters in one shot — the
     /// compiled engine's replacement for per-instruction recording. A
     /// straight-line kernel costs the same for every thread, so the
@@ -437,40 +419,6 @@ mod tests {
         // Buffer drained but tracing still on.
         let _ = ctx.add32(1.0, 1.0);
         assert_eq!(ctx.take_trace(), vec![UnitClass::Fpu]);
-    }
-
-    #[test]
-    fn absorb_merges_counters_and_trace_in_order() {
-        let mut main = FpCtx::new(IhwConfig::precise());
-        main.enable_trace();
-        let _ = main.add32(1.0, 1.0);
-
-        let mut chunk = FpCtx::new(IhwConfig::precise());
-        chunk.enable_trace();
-        let _ = chunk.mul32(2.0, 2.0);
-        chunk.mem_op(2);
-        chunk.int_op(1);
-
-        main.absorb(&chunk);
-        assert_eq!(main.counts().get(FpOp::Add), 1);
-        assert_eq!(main.counts().get(FpOp::Mul), 1);
-        assert_eq!(main.int_ops(), 1);
-        assert_eq!(main.mem_ops(), 2);
-        assert_eq!(
-            main.take_trace(),
-            vec![
-                UnitClass::Fpu,
-                UnitClass::Fpu,
-                UnitClass::Lsu,
-                UnitClass::Lsu,
-                UnitClass::Alu
-            ]
-        );
-        // Absorbing into a non-tracing context merges counters only.
-        let mut plain = FpCtx::new(IhwConfig::precise());
-        plain.absorb(&chunk);
-        assert!(!plain.is_tracing());
-        assert_eq!(plain.mem_ops(), 2);
     }
 
     #[test]

@@ -38,7 +38,6 @@ use crate::plan::{CompiledKernel, PlanCache};
 use crate::simt::{InstrMix, KernelLaunch};
 use ihw_core::config::IhwConfig;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 /// A register index (per-thread f32 register file).
@@ -398,157 +397,14 @@ fn locate_element(
     Ok(idx as usize)
 }
 
-/// The interpreter's global-memory port. Monomorphized into the step
-/// function, so the sequential in-place path keeps its direct stores
-/// while the parallel path routes through a snapshot + overlay without
-/// any shared mutable state (and without `unsafe`).
-trait MemPort {
-    fn load(&mut self, buf: usize, mode: AddrMode, tid: u32) -> Result<f32, ExecError>;
-    fn store(&mut self, buf: usize, mode: AddrMode, tid: u32, v: f32) -> Result<(), ExecError>;
-}
-
-/// Sequential memory: loads and stores hit the buffers in place.
-struct DirectMem<'a> {
-    buffers: &'a mut [Vec<f32>],
-}
-
-impl MemPort for DirectMem<'_> {
-    fn load(&mut self, buf: usize, mode: AddrMode, tid: u32) -> Result<f32, ExecError> {
-        let idx = locate_element(self.buffers, buf, mode, tid)?;
-        Ok(self.buffers[buf][idx])
-    }
-
-    fn store(&mut self, buf: usize, mode: AddrMode, tid: u32, v: f32) -> Result<(), ExecError> {
-        let idx = locate_element(self.buffers, buf, mode, tid)?;
-        self.buffers[buf][idx] = v;
-        Ok(())
-    }
-}
-
-/// Parallel-chunk memory: loads read the launch-entry snapshot unless
-/// the chunk itself stored to the element first (same-thread
-/// read-after-write; cross-tid aliasing is excluded by the
-/// [`crate::deps`] proof before this port is ever used). Stores go to
-/// an overlay and are journaled for in-order application by the
-/// launching thread.
-struct SnapshotMem<'a> {
-    base: &'a [Vec<f32>],
-    overlay: BTreeMap<(usize, usize), f32>,
-    writes: Vec<(usize, usize, f32)>,
-}
-
-impl MemPort for SnapshotMem<'_> {
-    fn load(&mut self, buf: usize, mode: AddrMode, tid: u32) -> Result<f32, ExecError> {
-        let idx = locate_element(self.base, buf, mode, tid)?;
-        Ok(self
-            .overlay
-            .get(&(buf, idx))
-            .copied()
-            .unwrap_or(self.base[buf][idx]))
-    }
-
-    fn store(&mut self, buf: usize, mode: AddrMode, tid: u32, v: f32) -> Result<(), ExecError> {
-        let idx = locate_element(self.base, buf, mode, tid)?;
-        self.overlay.insert((buf, idx), v);
-        self.writes.push((buf, idx, v));
-        Ok(())
-    }
-}
-
-/// One written buffer's dense output window for a tid-chunk of a
-/// direct-write launch: element `start + p` of buffer `buf` lives at
-/// `vals[p]`. Windows of distinct chunks tile the buffer without
-/// overlap (the store offset is common to all threads, so chunk
-/// `[lo, hi)` owns exactly `[lo + offset, hi + offset)`).
-struct ChunkOut {
-    buf: usize,
-    start: i64,
-    vals: Vec<f32>,
-}
-
-/// Direct-write chunk memory, used when [`crate::deps::store_shape`]
-/// proves every store lands in the thread's own `tid + offset` slot
-/// and no load aliases another thread's store: loads read the shared
-/// launch-entry buffers in place (they are never mutated during the
-/// fan-out), a load of the thread's own output slot is served from the
-/// chunk's window (same-thread read-after-write), and stores write the
-/// window — no snapshot copy, no per-store journal entry.
-struct DirectChunkMem<'a> {
-    base: &'a [Vec<f32>],
-    lo: u32,
-    outs: Vec<ChunkOut>,
-    /// Buffer index → position in `outs` (`None` for read-only buffers).
-    window: Vec<Option<usize>>,
-}
-
-impl<'a> DirectChunkMem<'a> {
-    /// `offsets[b]` is `Some(o)` iff the kernel stores to buffer `b`
-    /// (always at `tid + o`). Windows are seeded with the launch-entry
-    /// values so that copying a partially-written window back is a
-    /// no-op on the untouched positions — exactly the sequential
-    /// faulting-thread partial state.
-    fn new(base: &'a [Vec<f32>], offsets: &[Option<i64>], lo: u32, hi: u32) -> Self {
-        let len = (hi - lo) as usize;
-        let mut outs = Vec::new();
-        let mut window = vec![None; base.len()];
-        for (buf, off) in offsets.iter().enumerate() {
-            let Some(o) = *off else { continue };
-            let start = i64::from(lo) + o;
-            let blen = base[buf].len() as i64;
-            let mut vals = vec![0.0f32; len];
-            for (p, v) in vals.iter_mut().enumerate() {
-                let e = start + p as i64;
-                if (0..blen).contains(&e) {
-                    *v = base[buf][e as usize];
-                }
-            }
-            window[buf] = Some(outs.len());
-            outs.push(ChunkOut { buf, start, vals });
-        }
-        DirectChunkMem {
-            base,
-            lo,
-            outs,
-            window,
-        }
-    }
-}
-
-impl MemPort for DirectChunkMem<'_> {
-    fn load(&mut self, buf: usize, mode: AddrMode, tid: u32) -> Result<f32, ExecError> {
-        let idx = locate_element(self.base, buf, mode, tid)?;
-        if let Some(&Some(w)) = self.window.get(buf) {
-            let out = &self.outs[w];
-            // The shape proof guarantees a load aliasing the output
-            // window is the thread's own slot.
-            if idx as i64 - out.start == i64::from(tid - self.lo) {
-                return Ok(out.vals[(tid - self.lo) as usize]);
-            }
-        }
-        Ok(self.base[buf][idx])
-    }
-
-    fn store(&mut self, buf: usize, mode: AddrMode, tid: u32, v: f32) -> Result<(), ExecError> {
-        let idx = locate_element(self.base, buf, mode, tid)?;
-        let w = self
-            .window
-            .get(buf)
-            .copied()
-            .flatten()
-            .expect("direct-write store targets a planned window");
-        let out = &mut self.outs[w];
-        out.vals[(idx as i64 - out.start) as usize] = v;
-        Ok(())
-    }
-}
-
-/// Executes one instruction for one thread against a memory port.
-fn exec_step<M: MemPort>(
+/// Executes one instruction for one thread, loads and stores hitting
+/// the buffers in place.
+fn exec_step(
     ctx: &mut FpCtx,
     instr: Instr,
     tid: u32,
     regs: &mut [f32],
-    mem: &mut M,
+    buffers: &mut [Vec<f32>],
 ) -> Result<(), ExecError> {
     match instr {
         Instr::Movi(d, imm) => regs[d.0 as usize] = imm,
@@ -591,95 +447,17 @@ fn exec_step<M: MemPort>(
         Instr::Ld(d, buf, mode) => {
             ctx.mem_op(1);
             ctx.int_op(1);
-            regs[d.0 as usize] = mem.load(buf, mode, tid)?;
+            let idx = locate_element(buffers, buf, mode, tid)?;
+            regs[d.0 as usize] = buffers[buf][idx];
         }
         Instr::St(buf, mode, s) => {
             ctx.mem_op(1);
             ctx.int_op(1);
-            mem.store(buf, mode, tid, regs[s.0 as usize])?;
+            let idx = locate_element(buffers, buf, mode, tid)?;
+            buffers[buf][idx] = regs[s.0 as usize];
         }
     }
     Ok(())
-}
-
-/// Store effects a chunk hands back to the launching thread: either
-/// its dense disjoint output windows (direct-write shape) or the
-/// ordered store journal (snapshot shape).
-enum ChunkStores {
-    Direct(Vec<ChunkOut>),
-    Journal(Vec<(usize, usize, f32)>),
-}
-
-/// Per-chunk result of a parallel launch: the chunk's store effects,
-/// its private counter context, and the first error (if the chunk
-/// stopped early).
-struct ChunkRun {
-    stores: ChunkStores,
-    ctx: FpCtx,
-    err: Option<ExecError>,
-}
-
-/// Runs tids `lo..hi` of `prog` against the shared launch-entry state,
-/// on the memory port chosen by the launch's store shape.
-fn run_chunk(
-    prog: &Program,
-    base: &[Vec<f32>],
-    cfg: IhwConfig,
-    tracing: bool,
-    direct_offsets: Option<&[Option<i64>]>,
-    lo: u32,
-    hi: u32,
-) -> ChunkRun {
-    let mut ctx = FpCtx::new(cfg);
-    if tracing {
-        ctx.enable_trace();
-    }
-    let mut regs = vec![0.0f32; prog.regs as usize];
-    match direct_offsets {
-        Some(offsets) => {
-            let mut mem = DirectChunkMem::new(base, offsets, lo, hi);
-            let err = exec_chunk(&mut ctx, prog, &mut regs, &mut mem, lo, hi);
-            ChunkRun {
-                stores: ChunkStores::Direct(mem.outs),
-                ctx,
-                err,
-            }
-        }
-        None => {
-            let mut mem = SnapshotMem {
-                base,
-                overlay: BTreeMap::new(),
-                writes: Vec::new(),
-            };
-            let err = exec_chunk(&mut ctx, prog, &mut regs, &mut mem, lo, hi);
-            ChunkRun {
-                stores: ChunkStores::Journal(mem.writes),
-                ctx,
-                err,
-            }
-        }
-    }
-}
-
-/// The chunk's tid loop: stops at the first error (later threads of
-/// the chunk never execute, matching the sequential schedule).
-fn exec_chunk<M: MemPort>(
-    ctx: &mut FpCtx,
-    prog: &Program,
-    regs: &mut [f32],
-    mem: &mut M,
-    lo: u32,
-    hi: u32,
-) -> Option<ExecError> {
-    for tid in lo..hi {
-        regs.iter_mut().for_each(|r| *r = 0.0);
-        for instr in &prog.instrs {
-            if let Err(e) = exec_step(ctx, *instr, tid, regs, mem) {
-                return Some(e);
-            }
-        }
-    }
-    None
 }
 
 /// When [`WarpInterpreter::launch`] may hand a proven-independent
@@ -701,13 +479,16 @@ pub enum CutoverPolicy {
 /// Which execution engine [`WarpInterpreter::launch`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
-    /// Per-thread re-interpretation through `exec_step` — the
-    /// reference semantics every other path is compared against.
+    /// The reference oracle: always the sequential per-thread
+    /// re-interpretation of [`WarpInterpreter::launch_sequential`],
+    /// whatever the worker budget. Every compiled path is compared
+    /// against it.
     Interpreted,
     /// Config-compiled plans from [`crate::plan`]: the `(Program,
     /// IhwConfig)` pair is lowered once, then lanes run as tight loops
     /// over contiguous slices. Bit-identical to the interpreter in
-    /// buffers, counters and traces; the default.
+    /// buffers, counters and traces; the default and the only
+    /// production engine.
     #[default]
     Compiled,
 }
@@ -725,26 +506,24 @@ impl ExecEngine {
 /// Which path the most recent launch took, and why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchDecision {
-    /// Worker budget or thread count permits no parallelism.
+    /// Worker budget, thread count or the reference engine permits no
+    /// parallelism.
     SequentialBudget,
-    /// The race analysis could not prove thread-independence.
+    /// No direct-write proof: the race analysis could not prove
+    /// thread-independence, or some store window may be read by
+    /// another thread.
     SequentialUnproven,
     /// Proven independent, but the cost model (or
     /// [`CutoverPolicy::ForceSequential`]) kept the sequential loop.
     SequentialCutover,
     /// Parallel chunks writing disjoint output sub-ranges in place.
     ParallelDirect,
-    /// Parallel chunks against a snapshot with journaled stores.
-    ParallelJournal,
 }
 
 impl LaunchDecision {
     /// Whether the launch actually fanned out.
     pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            LaunchDecision::ParallelDirect | LaunchDecision::ParallelJournal
-        )
+        self == LaunchDecision::ParallelDirect
     }
 
     /// Stable lowercase label used by reports and JSON output.
@@ -754,7 +533,6 @@ impl LaunchDecision {
             LaunchDecision::SequentialUnproven => "unproven",
             LaunchDecision::SequentialCutover => "cutover",
             LaunchDecision::ParallelDirect => "direct",
-            LaunchDecision::ParallelJournal => "journal",
         }
     }
 }
@@ -776,21 +554,11 @@ pub struct LaunchStats {
     pub decision: LaunchDecision,
 }
 
-/// Default per-launch parallel overhead estimate, in instruction
-/// executions. The simulator may not read the wall clock (lint rule
-/// L003), so the adaptive cutover is denominated in op counts;
-/// benchmarks that *are* allowed to time things can calibrate the real
-/// value and install it via
-/// [`WarpInterpreter::set_parallel_overhead_ops`].
-pub const DEFAULT_PARALLEL_OVERHEAD_OPS: u64 = 32_768;
-
-/// Default per-launch parallel overhead estimate for the **compiled**
-/// engine, in instruction executions. A compiled instruction execution
-/// is several times cheaper than an interpreted one, so the same
-/// wall-clock fan-out cost corresponds to proportionally more ops —
-/// launches must be bigger before parallelism pays for itself.
-/// Calibration (`repro racecheck --bench`) can replace this via
-/// [`WarpInterpreter::set_parallel_overhead_ops`].
+/// Default per-launch parallel overhead estimate for the compiled
+/// engine, in instruction executions. The simulator may not read the
+/// wall clock (lint rule L003), so the adaptive cutover is denominated
+/// in op counts; calibration (`repro racecheck --bench`) can replace
+/// this via [`WarpInterpreter::set_parallel_overhead_ops`].
 pub const DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS: u64 = 262_144;
 
 /// Cached `available_parallelism`: the cost model never fans out on a
@@ -803,12 +571,12 @@ fn host_parallelism() -> usize {
 /// Executes programs thread-by-thread through the IHW dispatch.
 ///
 /// With a worker budget above 1 ([`WarpInterpreter::set_workers`]),
-/// `launch` consults the static race analysis ([`crate::deps`]) and
-/// fans threads across the persistent worker pool **only** for kernels
-/// proven [`crate::deps::Verdict::ThreadIndependent`] — and, under the
-/// default [`CutoverPolicy::Adaptive`], only when the per-program cost
+/// the compiled engine fans threads across the persistent worker pool
+/// **only** for kernels whose plan carries the direct-write proof
+/// ([`crate::deps::store_shape`]) — and, under the default
+/// [`CutoverPolicy::Adaptive`], only when the per-program cost
 /// estimate says the launch is big enough to repay the fan-out
-/// overhead. Anything else takes the sequential tid loop. Both paths
+/// overhead. Anything else takes the sequential body. Both paths
 /// produce bit-identical buffers, op counters and issue-port traces;
 /// [`WarpInterpreter::last_launch_stats`] records which path ran and
 /// why.
@@ -817,10 +585,7 @@ pub struct WarpInterpreter {
     ctx: FpCtx,
     workers: usize,
     cutover: CutoverPolicy,
-    /// A calibrated overhead installed via
-    /// [`WarpInterpreter::set_parallel_overhead_ops`]; `None` selects
-    /// the per-engine default.
-    custom_overhead: Option<u64>,
+    overhead_ops: u64,
     engine: ExecEngine,
     plans: PlanCache,
     last_stats: LaunchStats,
@@ -836,7 +601,7 @@ impl WarpInterpreter {
             ctx: FpCtx::new(cfg),
             workers: 1,
             cutover: CutoverPolicy::Adaptive,
-            custom_overhead: None,
+            overhead_ops: DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
             engine,
             plans: PlanCache::default(),
             last_stats: LaunchStats {
@@ -858,8 +623,7 @@ impl WarpInterpreter {
 
     /// Selects which engine [`WarpInterpreter::launch`] drives. Both
     /// engines are bit-identical in buffers, counters and traces; the
-    /// choice only moves throughput (and the cutover's default
-    /// overhead constant, unless a calibrated one is installed).
+    /// choice only moves throughput.
     pub fn set_engine(&mut self, engine: ExecEngine) {
         self.engine = engine;
     }
@@ -946,18 +710,14 @@ impl WarpInterpreter {
     /// falls below it stay sequential under
     /// [`CutoverPolicy::Adaptive`].
     pub fn set_parallel_overhead_ops(&mut self, ops: u64) {
-        self.custom_overhead = Some(ops.max(1));
+        self.overhead_ops = ops.max(1);
     }
 
     /// The modeled per-launch parallel overhead: the calibrated value
-    /// if one was installed, else the current engine's default
-    /// ([`DEFAULT_PARALLEL_OVERHEAD_OPS`] or
-    /// [`DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS`]).
+    /// if one was installed, else
+    /// [`DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS`].
     pub fn parallel_overhead_ops(&self) -> u64 {
-        self.custom_overhead.unwrap_or(match self.engine {
-            ExecEngine::Interpreted => DEFAULT_PARALLEL_OVERHEAD_OPS,
-            ExecEngine::Compiled => DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
-        })
+        self.overhead_ops
     }
 
     /// Cost-model inputs and path decision of the most recent
@@ -993,135 +753,59 @@ impl WarpInterpreter {
         self.ctx.reset_counters();
     }
 
-    /// Runs `threads` threads of `prog` over the given global buffers,
-    /// taking the parallel path when the worker budget allows it and
-    /// the race analysis proves it safe.
+    /// Runs `threads` threads of `prog` over the given global buffers.
+    ///
+    /// On the compiled engine the plan cache serves (or lowers) the
+    /// `(program, config)` plan, whose stored direct-write proof
+    /// replaces a per-launch dependence analysis: the launch fans out
+    /// when the worker budget allows it, the proof holds and the
+    /// cutover policy agrees, and runs the compiled sequential body
+    /// otherwise. The interpreted engine always runs
+    /// [`WarpInterpreter::launch_sequential`].
     ///
     /// # Errors
     ///
     /// Returns an [`ExecError`] for unknown buffers or out-of-bounds
     /// accesses; the buffers may be partially written in that case
-    /// (identically so on either execution path).
+    /// (identically so on every execution path).
     pub fn launch(
         &mut self,
         prog: &Program,
         threads: u32,
         buffers: &mut [Vec<f32>],
     ) -> Result<(), ExecError> {
-        match self.engine {
-            ExecEngine::Interpreted => self.launch_interpreted(prog, threads, buffers),
-            ExecEngine::Compiled => self.launch_compiled(prog, threads, buffers),
-        }
-    }
-
-    /// [`WarpInterpreter::launch`] on the interpreted engine: race
-    /// analysis per launch, per-thread `exec_step` execution.
-    fn launch_interpreted(
-        &mut self,
-        prog: &Program,
-        threads: u32,
-        buffers: &mut [Vec<f32>],
-    ) -> Result<(), ExecError> {
         let workers = self.workers.min(threads as usize).max(1);
         let est_ops = prog.instrs.len() as u64 * u64::from(threads);
-        let overhead_ops = self.parallel_overhead_ops();
         let mut stats = LaunchStats {
             threads,
             workers,
             est_ops,
-            overhead_ops,
-            engine: ExecEngine::Interpreted,
+            overhead_ops: self.overhead_ops,
+            engine: self.engine,
             decision: LaunchDecision::SequentialBudget,
         };
-        if workers > 1 {
-            let report = crate::deps::racecheck(prog);
-            match crate::deps::store_shape(&report) {
-                None => stats.decision = LaunchDecision::SequentialUnproven,
-                Some(shape) => {
-                    let fan_out = match self.cutover {
-                        CutoverPolicy::ForceParallel => true,
-                        CutoverPolicy::ForceSequential => false,
-                        CutoverPolicy::Adaptive => {
-                            workers.min(host_parallelism()) > 1 && est_ops >= overhead_ops
-                        }
-                    };
-                    if fan_out {
-                        stats.decision = match shape {
-                            crate::deps::StoreShape::DirectWrite { .. } => {
-                                LaunchDecision::ParallelDirect
-                            }
-                            crate::deps::StoreShape::Journal => LaunchDecision::ParallelJournal,
-                        };
-                        self.last_stats = stats;
-                        return self.launch_parallel(workers, prog, threads, buffers, &shape);
-                    }
-                    stats.decision = LaunchDecision::SequentialCutover;
-                }
-            }
+        if self.engine == ExecEngine::Interpreted {
+            self.last_stats = stats;
+            return self.launch_sequential(prog, threads, buffers);
         }
-        self.last_stats = stats;
-        self.launch_sequential(prog, threads, buffers)
-    }
-
-    /// [`WarpInterpreter::launch`] on the compiled engine: the plan
-    /// cache serves (or lowers) the `(program, config)` plan, whose
-    /// stored racecheck shape replaces the per-launch dependence
-    /// analysis. Decisions mirror the interpreted path exactly; only
-    /// the execution bodies differ. A journal-shaped fan-out routes to
-    /// the interpreted snapshot/journal machinery — the `DirectWrite`
-    /// proof is what licenses the no-snapshot compiled parallel body.
-    fn launch_compiled(
-        &mut self,
-        prog: &Program,
-        threads: u32,
-        buffers: &mut [Vec<f32>],
-    ) -> Result<(), ExecError> {
         let plan = self.plans.get_or_compile(prog, self.ctx.config());
-        let workers = self.workers.min(threads as usize).max(1);
-        let est_ops = prog.instrs.len() as u64 * u64::from(threads);
-        let overhead_ops = self.parallel_overhead_ops();
-        let mut stats = LaunchStats {
-            threads,
-            workers,
-            est_ops,
-            overhead_ops,
-            engine: ExecEngine::Compiled,
-            decision: LaunchDecision::SequentialBudget,
-        };
         if workers > 1 {
-            match plan.shape() {
-                None => stats.decision = LaunchDecision::SequentialUnproven,
-                Some(shape) => {
-                    let fan_out = match self.cutover {
-                        CutoverPolicy::ForceParallel => true,
-                        CutoverPolicy::ForceSequential => false,
-                        CutoverPolicy::Adaptive => {
-                            workers.min(host_parallelism()) > 1 && est_ops >= overhead_ops
-                        }
-                    };
-                    if fan_out {
-                        match shape {
-                            crate::deps::StoreShape::DirectWrite { .. } => {
-                                stats.decision = LaunchDecision::ParallelDirect;
-                                self.last_stats = stats;
-                                return self
-                                    .launch_compiled_parallel(workers, &plan, threads, buffers);
-                            }
-                            crate::deps::StoreShape::Journal => {
-                                stats.decision = LaunchDecision::ParallelJournal;
-                                self.last_stats = stats;
-                                return self.launch_parallel(
-                                    workers,
-                                    prog,
-                                    threads,
-                                    buffers,
-                                    &crate::deps::StoreShape::Journal,
-                                );
-                            }
-                        }
+            if plan.direct_write().is_none() {
+                stats.decision = LaunchDecision::SequentialUnproven;
+            } else {
+                let fan_out = match self.cutover {
+                    CutoverPolicy::ForceParallel => true,
+                    CutoverPolicy::ForceSequential => false,
+                    CutoverPolicy::Adaptive => {
+                        workers.min(host_parallelism()) > 1 && est_ops >= self.overhead_ops
                     }
-                    stats.decision = LaunchDecision::SequentialCutover;
+                };
+                if fan_out {
+                    stats.decision = LaunchDecision::ParallelDirect;
+                    self.last_stats = stats;
+                    return self.launch_compiled_parallel(workers, &plan, threads, buffers);
                 }
+                stats.decision = LaunchDecision::SequentialCutover;
             }
         }
         self.last_stats = stats;
@@ -1150,13 +834,13 @@ impl WarpInterpreter {
         fault.map_or(Ok(()), |f| Err(f.err))
     }
 
-    /// Compiled parallel body for the `DirectWrite` shape: no snapshot
-    /// and no journal. The static precheck bounds the clean tid range
-    /// up front, so chunks execute lane blocks against the shared
-    /// launch-entry buffers (moved behind an `Arc`, as in the
-    /// interpreted path) and hand back only their dense disjoint output
-    /// windows. Counters come from the plan's static table — chunk
-    /// workers do no counting at all.
+    /// Compiled parallel body, licensed by the direct-write proof: no
+    /// snapshot copy. The static precheck bounds the clean tid range
+    /// up front, so chunks execute lane blocks against the launch-entry
+    /// buffers — *moved* behind an `Arc` and reclaimed once the pool
+    /// has dropped every chunk's captures — and hand back only their
+    /// dense disjoint output windows. Counters come from the plan's
+    /// static table — chunk workers do no counting at all.
     fn launch_compiled_parallel(
         &mut self,
         workers: usize,
@@ -1182,7 +866,8 @@ impl WarpInterpreter {
             let plan_shared = Arc::clone(plan);
             let results = ihw_pool::sweep_with(workers, ranges, move |(lo, hi)| {
                 let mut rf = RegFile::new(plan_shared.regs());
-                let mut mem = ChunkMem::new(&shared, plan_shared.store_offsets(), lo, hi);
+                let offsets = plan_shared.direct_write().expect("fan-out needs the proof");
+                let mut mem = ChunkMem::new(&shared, offsets, lo, hi);
                 plan_shared.run_range(&mut rf, &mut mem, lo, hi);
                 mem.into_windows()
             });
@@ -1224,110 +909,10 @@ impl WarpInterpreter {
         buffers: &mut [Vec<f32>],
     ) -> Result<(), ExecError> {
         let mut regs = vec![0.0f32; prog.regs as usize];
-        let mut mem = DirectMem { buffers };
         for tid in 0..threads {
             regs.iter_mut().for_each(|r| *r = 0.0);
             for instr in &prog.instrs {
-                exec_step(&mut self.ctx, *instr, tid, &mut regs, &mut mem)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// The proven-safe parallel path: contiguous tid chunks run on the
-    /// persistent worker pool against the launch-entry buffers, handed
-    /// over by **move** (no snapshot clone) behind an `Arc`. Chunks of
-    /// a direct-write shape write dense disjoint output windows that
-    /// are block-copied back; journal-shape chunks keep the overlay +
-    /// store journal. The launching thread then applies chunk effects
-    /// and absorbs chunk counters in tid order. On error, effects of
-    /// chunks after the first erroring one are discarded, replicating
-    /// the sequential partial state exactly.
-    fn launch_parallel(
-        &mut self,
-        workers: usize,
-        prog: &Program,
-        threads: u32,
-        buffers: &mut [Vec<f32>],
-        shape: &crate::deps::StoreShape,
-    ) -> Result<(), ExecError> {
-        let cfg = *self.ctx.config();
-        let tracing = self.ctx.is_tracing();
-        let chunk = (threads as usize).div_ceil(workers);
-        let ranges: Vec<(u32, u32)> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(threads as usize) as u32;
-                let hi = ((w + 1) * chunk).min(threads as usize) as u32;
-                (lo, hi)
-            })
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-
-        let direct_offsets: Option<Arc<Vec<Option<i64>>>> = match shape {
-            crate::deps::StoreShape::DirectWrite { offsets } => {
-                let mut per_buffer = vec![None; buffers.len()];
-                for (&buf, &off) in offsets {
-                    if let Some(slot) = per_buffer.get_mut(buf) {
-                        *slot = Some(off);
-                    }
-                }
-                Some(Arc::new(per_buffer))
-            }
-            crate::deps::StoreShape::Journal => None,
-        };
-
-        // Zero-copy hand-off: *move* the launch buffers into a shared
-        // base, fan out, then reclaim the vectors. The pool drops every
-        // chunk's captures before the sweep returns, so the `Arc` is
-        // unique again by `try_unwrap` time.
-        let base: Arc<Vec<Vec<f32>>> = Arc::new(buffers.iter_mut().map(std::mem::take).collect());
-        let shared = Arc::clone(&base);
-        let prog_shared: Arc<Program> = Arc::new(prog.clone());
-        let results = ihw_pool::sweep_with(workers, ranges, move |(lo, hi)| {
-            run_chunk(
-                &prog_shared,
-                &shared,
-                cfg,
-                tracing,
-                direct_offsets.as_ref().map(|o| o.as_slice()),
-                lo,
-                hi,
-            )
-        });
-        let reclaimed = Arc::try_unwrap(base).expect("chunks released the launch snapshot");
-        for (slot, owned) in buffers.iter_mut().zip(reclaimed) {
-            *slot = owned;
-        }
-
-        for run in results {
-            match run.stores {
-                ChunkStores::Direct(outs) => {
-                    for out in outs {
-                        let dst = &mut buffers[out.buf];
-                        let blen = dst.len() as i64;
-                        // Clamp to the valid range: positions a fault
-                        // (or an out-of-range window edge) left
-                        // untouched hold launch-entry values, so the
-                        // block copy is a no-op there.
-                        let from = out.start.clamp(0, blen);
-                        let to = (out.start + out.vals.len() as i64).clamp(from, blen);
-                        if from < to {
-                            let voff = (from - out.start) as usize;
-                            let n = (to - from) as usize;
-                            dst[from as usize..to as usize]
-                                .copy_from_slice(&out.vals[voff..voff + n]);
-                        }
-                    }
-                }
-                ChunkStores::Journal(writes) => {
-                    for (buf, idx, v) in writes {
-                        buffers[buf][idx] = v;
-                    }
-                }
-            }
-            self.ctx.absorb(&run.ctx);
-            if let Some(err) = run.err {
-                return Err(err);
+                exec_step(&mut self.ctx, *instr, tid, &mut regs, buffers)?;
             }
         }
         Ok(())
@@ -1680,7 +1265,7 @@ mod tests {
 
     /// out[tid] = in[tid+1] *within one buffer*: thread-independent,
     /// but an in-place chunk write would clobber a neighbour's unread
-    /// input — the launch must pick the snapshot + journal path.
+    /// input — no direct-write proof, so the launch stays sequential.
     fn fwd_shift() -> Program {
         Program::new(
             "fwd",
@@ -1694,7 +1279,7 @@ mod tests {
     }
 
     #[test]
-    fn journal_shape_takes_snapshot_path_and_matches() {
+    fn journal_shape_stays_sequential_and_matches() {
         let n = 100u32;
         let input: Vec<f32> = (0..=n).map(|i| i as f32 * 0.25).collect();
 
@@ -1710,7 +1295,7 @@ mod tests {
         par.launch(&fwd_shift(), n, &mut par_bufs).expect("runs");
         assert_eq!(
             par.last_launch_stats().decision,
-            LaunchDecision::ParallelJournal
+            LaunchDecision::SequentialUnproven
         );
         assert_eq!(seq_bufs, par_bufs);
         assert_eq!(seq.ctx().mem_ops(), par.ctx().mem_ops());
@@ -1736,7 +1321,7 @@ mod tests {
 
         assert_eq!(
             par.last_launch_stats().decision,
-            LaunchDecision::ParallelJournal
+            LaunchDecision::SequentialUnproven
         );
         assert_eq!(seq_err, par_err);
         assert_eq!(seq_bufs, par_bufs);

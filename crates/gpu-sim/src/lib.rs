@@ -53,7 +53,6 @@ pub mod isa;
 pub mod memory;
 pub mod plan;
 pub mod programs;
-pub mod shared;
 pub mod simt;
 pub mod tuner;
 pub mod wattch;
@@ -67,7 +66,6 @@ pub mod prelude {
     pub use crate::isa::{ExecEngine, Instr, Program, Reg, WarpInterpreter};
     pub use crate::memory::MemoryHierarchy;
     pub use crate::plan::{compile, CompiledKernel, PlanCacheStats, PlanKey};
-    pub use crate::shared::SharedFpCtx;
     pub use crate::simt::{GpuConfig, InstrMix, KernelLaunch, SimStats, Simulator, UnitClass};
     pub use crate::tuner::{tune, tune_sites, QualityConstraint, TuningOutcome, TuningStep};
     pub use crate::wattch::{PowerBreakdown, WattchModel};

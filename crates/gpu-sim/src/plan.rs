@@ -9,8 +9,9 @@
 //! * the threaded-code table of monomorphized lane ops
 //!   ([`crate::compile::CompiledOp`]), with every configuration branch
 //!   constant-folded at lowering time;
-//! * the racecheck verdict and store shape, so the proof-gated parallel
-//!   path is a field read instead of a per-launch dependence analysis;
+//! * the direct-write proof ([`crate::deps::store_shape`]), so the
+//!   proof-gated parallel path is a field read instead of a per-launch
+//!   dependence analysis;
 //! * a static cost table — per-thread [`OpCounts`], integer/memory op
 //!   totals, and the `UnitClass` trace pattern — because a
 //!   straight-line kernel executes the same units for every thread, the
@@ -28,7 +29,7 @@
 //! instead of running the wrong kernel.
 
 use crate::compile::{exec_block, lower, CompiledOp, LaneMem, RegFile, LANES};
-use crate::deps::{racecheck, store_shape, AffineIndex, StoreShape};
+use crate::deps::{racecheck, store_shape, AffineIndex};
 use crate::dispatch::FpCtx;
 use crate::isa::{AddrMode, ExecError, Instr, Program};
 use crate::simt::UnitClass;
@@ -78,14 +79,10 @@ pub struct CompiledKernel {
     name: String,
     regs: u8,
     ops: Vec<CompiledOp>,
-    /// `Some` iff the racecheck proof holds (`ThreadIndependent`).
-    shape: Option<StoreShape>,
-    /// Whether lane-block (instruction-major) execution is
-    /// observationally sequential: true iff the shape is `DirectWrite`.
-    block_safe: bool,
-    /// Buffer index → store offset, dense over touched buffers
-    /// (meaningful only under `DirectWrite`).
-    store_offsets: Vec<Option<i64>>,
+    /// `Some` iff the direct-write proof holds: buffer index → store
+    /// offset, dense over written buffers. The proof licenses both the
+    /// parallel fan-out and lane-block (instruction-major) execution.
+    direct_write: Option<Vec<Option<i64>>>,
     sites: Vec<Site>,
     per_thread: StaticCost,
     /// `prefix[i]` = cost of instructions `0..=i` for one thread (the
@@ -142,18 +139,14 @@ fn instr_cost(instr: &Instr) -> (Option<FpOp>, u64, u64, Vec<UnitClass>) {
 /// plan cache amortizes across launches.
 pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
     let ops = lower(prog, cfg);
-    let report = racecheck(prog);
-    let shape = store_shape(&report);
-    let block_safe = matches!(shape, Some(StoreShape::DirectWrite { .. }));
-
-    let mut store_offsets = Vec::new();
-    if let Some(StoreShape::DirectWrite { offsets }) = &shape {
+    let direct_write = store_shape(&racecheck(prog)).map(|offsets| {
         let max_buf = offsets.keys().max().copied().unwrap_or(0);
-        store_offsets = vec![None; max_buf + 1];
-        for (&buf, &off) in offsets {
-            store_offsets[buf] = Some(off);
+        let mut dense = vec![None; max_buf + 1];
+        for (&buf, &off) in &offsets {
+            dense[buf] = Some(off);
         }
-    }
+        dense
+    });
 
     let mut sites = Vec::new();
     let mut per_thread = StaticCost::default();
@@ -184,9 +177,7 @@ pub fn compile(prog: &Program, cfg: &IhwConfig) -> CompiledKernel {
         name: prog.name().to_string(),
         regs: prog.regs(),
         ops,
-        shape,
-        block_safe,
-        store_offsets,
+        direct_write,
         sites,
         per_thread,
         prefix,
@@ -216,16 +207,10 @@ impl CompiledKernel {
         self.ops.is_empty()
     }
 
-    /// The racecheck store shape the plan was compiled against, if the
-    /// independence proof holds.
-    pub(crate) fn shape(&self) -> Option<&StoreShape> {
-        self.shape.as_ref()
-    }
-
-    /// Buffer → direct-write store offset table (dense; empty unless
-    /// the shape is `DirectWrite`).
-    pub(crate) fn store_offsets(&self) -> &[Option<i64>] {
-        &self.store_offsets
+    /// The direct-write store offset table (buffer → offset, dense),
+    /// or `None` when the plan has no direct-write proof.
+    pub(crate) fn direct_write(&self) -> Option<&[Option<i64>]> {
+        self.direct_write.as_deref()
     }
 
     /// The first fault a `threads`-thread launch over `buffers` hits in
@@ -287,12 +272,12 @@ impl CompiledKernel {
     }
 
     /// Executes tids `[lo, hi)` against `mem`: lane blocks of
-    /// [`LANES`] when the `DirectWrite` proof licenses
+    /// [`LANES`] when the direct-write proof licenses
     /// instruction-major order, scalar (one-lane blocks, which *is*
     /// the sequential order) otherwise. All accesses must be
     /// pre-checked fault-free.
     pub(crate) fn run_range<M: LaneMem>(&self, rf: &mut RegFile, mem: &mut M, lo: u32, hi: u32) {
-        if self.block_safe {
+        if self.direct_write.is_some() {
             let mut t = lo;
             while t < hi {
                 let n = (hi - t).min(LANES as u32);
@@ -765,7 +750,11 @@ mod tests {
             programs::distance(),
         ] {
             let plan = compile(&prog, &IhwConfig::all_imprecise());
-            assert!(plan.block_safe, "{} should be direct-write", plan.name());
+            assert!(
+                plan.direct_write().is_some(),
+                "{} should be direct-write",
+                plan.name()
+            );
             assert_eq!(plan.len(), prog.instrs().len());
         }
     }

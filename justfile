@@ -82,5 +82,5 @@ bench-sanity:
 # row diverges bit-wise from the interpreter.
 bench-compiled:
     cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
-        --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
+        --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
         --out target/bench-compiled.json

@@ -15,6 +15,12 @@ echo "== tier-1: build + tests =="
 cargo build --release
 cargo test -q
 
+echo "== workspace tests: every crate's unit and integration tests =="
+# The tier-1 line above runs only the root package; the engine's own
+# unit tests (gpu-sim isa/compile/plan/deps/concurrent) and every other
+# crate's suites run only under --workspace.
+cargo test -q --workspace
+
 echo "== ihw-lint: workspace invariant audit (deny new findings) =="
 # Exits non-zero on findings not in lint-baseline.txt; the JSON
 # diagnostics (schema ihw-lint/1) are kept as a CI artifact.
@@ -51,8 +57,8 @@ echo "== solverbench: certificates vs measured solver trajectories =="
 # the effective tolerance. Refreshes the committed BENCH_solvers.json.
 cargo run --release -p ihw-bench --bin repro -- converge --bench
 
-echo "== racebench: interpreted vs compiled vs parallel (bit-identity + throughput) =="
-# Fails if any engine run diverges from the interpreted-sequential
+echo "== racebench: interpreted reference vs compiled vs parallel (bit-identity + throughput) =="
+# Fails if any compiled run diverges from the interpreted-sequential
 # reference; refreshes the committed BENCH_kernel_throughput.json perf
 # record. The default worker budget self-clamps to the host's cores
 # (schema ihw-racebench/3 records workers_clamped), so no explicit
@@ -85,7 +91,7 @@ echo "== bench-compiled: compiled engine must beat the interpreter =="
 # compiled lane loops rely on auto-vectorization. JSON kept as
 # artifact.
 cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
-    --engine compiled --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
+    --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
     --out target/bench-compiled.json
 
 echo "== smoke: repro --timings table5 fig14 =="

@@ -6,26 +6,23 @@
 //!    against),
 //! 2. the compiled-sequential body (the config-compiled plan of
 //!    `gpu_sim::plan` run on one worker), and
-//! 3. the gated launch under test (either engine, any worker budget
-//!    and cutover policy, including the racecheck-proof-gated parallel
-//!    bodies)
+//! 3. the gated compiled launch under test (any worker budget and
+//!    cutover policy, including the proof-gated parallel body)
 //!
 //! — output buffers, per-unit op counts, int/mem counters and dispatch
 //! traces — for every stock kernel × stock config, at several worker
-//! budgets, under both forced cutover policies, on both engines.
-//! Kernels the analysis cannot prove independent must fall back to the
-//! sequential path, and the error path (partial effects up to the
-//! faulting thread) must match exactly as well — on the direct-write
-//! path *and* the journaled snapshot path.
+//! budgets, under both forced cutover policies. Kernels without the
+//! direct-write proof must fall back to the sequential body, and the
+//! error path (partial effects up to the faulting thread) must match
+//! exactly as well. The interpreted engine is the reference oracle: it
+//! never fans out, whatever the worker budget.
 
 use imprecise_gpgpu::analyze::{stock_configs, stock_kernels};
 use imprecise_gpgpu::sim::asm::assemble;
-use imprecise_gpgpu::sim::deps::{footprints, racecheck, store_shape, StoreShape, Verdict};
+use imprecise_gpgpu::sim::deps::{footprints, racecheck, store_shape, Verdict};
 use imprecise_gpgpu::sim::isa::{
     CutoverPolicy, ExecEngine, LaunchDecision, Program, WarpInterpreter,
 };
-
-const ENGINES: [ExecEngine; 2] = [ExecEngine::Interpreted, ExecEngine::Compiled];
 
 /// Deterministic well-conditioned inputs sized by the kernel's own
 /// footprint (mirrors `ihw_bench::racebench::seed_buffers`).
@@ -73,11 +70,11 @@ fn assert_ctx_equal(a: &WarpInterpreter, b: &WarpInterpreter, tag: &str) {
 }
 
 /// Runs `prog` three ways — interpreted-sequential reference,
-/// compiled-sequential, and the gated launch on `engine` under
-/// `policy` with `workers` — then asserts buffers, op counters and
-/// dispatch traces are bit-identical across all three, and that the
-/// gated launch recorded its engine in `LaunchStats`. Returns the
-/// decision the gated launch recorded.
+/// compiled-sequential, and the gated compiled launch under `policy`
+/// with `workers` — then asserts buffers, op counters and dispatch
+/// traces are bit-identical across all three, and that the gated
+/// launch recorded its engine in `LaunchStats`. Returns the decision
+/// the gated launch recorded.
 fn assert_differential(
     prog: &Program,
     cfg: &imprecise_gpgpu::core::config::IhwConfig,
@@ -85,14 +82,9 @@ fn assert_differential(
     threads: u32,
     workers: usize,
     policy: CutoverPolicy,
-    engine: ExecEngine,
 ) -> LaunchDecision {
     let base = seed_buffers(prog, threads);
-    let tag = format!(
-        "{}/{label} ({policy:?}, {workers} workers, {} engine)",
-        prog.name(),
-        engine.label()
-    );
+    let tag = format!("{}/{label} ({policy:?}, {workers} workers)", prog.name());
 
     // 1. Interpreted-sequential reference.
     let mut seq_bufs = base.clone();
@@ -129,7 +121,6 @@ fn assert_differential(
     // 3. The gated launch under test.
     let mut par_bufs = base;
     let mut par = WarpInterpreter::new(cfg.to_owned())
-        .with_engine(engine)
         .with_workers(workers)
         .with_cutover(policy);
     par.enable_trace();
@@ -140,7 +131,11 @@ fn assert_differential(
     assert_ctx_equal(&seq, &par, &tag);
     assert_eq!(seq_trace, par.take_trace(), "{tag}: traces diverge");
     let stats = par.last_launch_stats();
-    assert_eq!(stats.engine, engine, "{tag}: LaunchStats engine mismatch");
+    assert_eq!(
+        stats.engine,
+        ExecEngine::Compiled,
+        "{tag}: LaunchStats engine mismatch"
+    );
     assert_eq!(
         stats.threads, threads,
         "{tag}: LaunchStats threads mismatch"
@@ -160,29 +155,26 @@ fn parallel_is_bit_identical_for_every_stock_pair() {
             prog.name()
         );
         assert!(
-            matches!(store_shape(&report), Some(StoreShape::DirectWrite { .. })),
+            store_shape(&report).is_some(),
             "{} stores are affine own-slot writes",
             prog.name()
         );
         for (label, cfg) in stock_configs() {
-            for engine in ENGINES {
-                for workers in [2usize, 3, 8] {
-                    let decision = assert_differential(
-                        &prog,
-                        &cfg,
-                        label,
-                        threads,
-                        workers,
-                        CutoverPolicy::ForceParallel,
-                        engine,
-                    );
-                    assert_eq!(
-                        decision,
-                        LaunchDecision::ParallelDirect,
-                        "{}/{label} at {workers} workers should take the direct path",
-                        prog.name()
-                    );
-                }
+            for workers in [2usize, 3, 8] {
+                let decision = assert_differential(
+                    &prog,
+                    &cfg,
+                    label,
+                    threads,
+                    workers,
+                    CutoverPolicy::ForceParallel,
+                );
+                assert_eq!(
+                    decision,
+                    LaunchDecision::ParallelDirect,
+                    "{}/{label} at {workers} workers should take the direct path",
+                    prog.name()
+                );
             }
         }
     }
@@ -196,44 +188,37 @@ fn forced_sequential_matches_for_every_stock_pair() {
     let threads = 257u32;
     for prog in stock_kernels() {
         for (label, cfg) in stock_configs() {
-            for engine in ENGINES {
-                let decision = assert_differential(
-                    &prog,
-                    &cfg,
-                    label,
-                    threads,
-                    8,
-                    CutoverPolicy::ForceSequential,
-                    engine,
-                );
-                assert_eq!(
-                    decision,
-                    LaunchDecision::SequentialCutover,
-                    "{}/{label} under ForceSequential",
-                    prog.name()
-                );
-            }
+            let decision = assert_differential(
+                &prog,
+                &cfg,
+                label,
+                threads,
+                8,
+                CutoverPolicy::ForceSequential,
+            );
+            assert_eq!(
+                decision,
+                LaunchDecision::SequentialCutover,
+                "{}/{label} under ForceSequential",
+                prog.name()
+            );
         }
     }
 }
 
 #[test]
 fn adaptive_cutover_keeps_tiny_launches_sequential() {
-    // 64 threads × a handful of instructions is far below either
-    // engine's default overhead threshold, so Adaptive must refuse to
-    // fan out on any host — and still match the reference bit-for-bit.
+    // 64 threads × a handful of instructions is far below the default
+    // overhead threshold, so Adaptive must refuse to fan out on any
+    // host — and still match the reference bit-for-bit.
     for prog in stock_kernels() {
         let (label, cfg) = &stock_configs()[0];
-        for engine in ENGINES {
-            let decision =
-                assert_differential(&prog, cfg, label, 64, 8, CutoverPolicy::Adaptive, engine);
-            assert!(
-                !decision.is_parallel(),
-                "{} ({}): tiny launch must not pay the fan-out overhead",
-                prog.name(),
-                engine.label()
-            );
-        }
+        let decision = assert_differential(&prog, cfg, label, 64, 8, CutoverPolicy::Adaptive);
+        assert!(
+            !decision.is_parallel(),
+            "{}: tiny launch must not pay the fan-out overhead",
+            prog.name()
+        );
     }
 }
 
@@ -267,27 +252,23 @@ st b1[tid+1], r0
     // every earlier thread's contribution.
     assert!(seq_bufs[1][64] > 1.0);
 
-    for engine in ENGINES {
-        let mut par_bufs = base.clone();
-        let mut par = WarpInterpreter::new(cfg.to_owned())
-            .with_engine(engine)
-            .with_workers(8)
-            .with_cutover(CutoverPolicy::ForceParallel);
-        par.launch(&prog, threads, &mut par_bufs)
-            .expect("falls back and runs");
+    let mut par_bufs = base;
+    let mut par = WarpInterpreter::new(cfg.to_owned())
+        .with_workers(8)
+        .with_cutover(CutoverPolicy::ForceParallel);
+    par.launch(&prog, threads, &mut par_bufs)
+        .expect("falls back and runs");
 
-        assert!(
-            !par.last_launch_was_parallel(),
-            "carried kernel must stay sequential even under ForceParallel ({})",
-            engine.label()
-        );
-        assert_eq!(
-            par.last_launch_stats().decision,
-            LaunchDecision::SequentialUnproven
-        );
-        assert_eq!(bits(&seq_bufs), bits(&par_bufs));
-        assert_eq!(seq.ctx().counts(), par.ctx().counts());
-    }
+    assert!(
+        !par.last_launch_was_parallel(),
+        "carried kernel must stay sequential even under ForceParallel"
+    );
+    assert_eq!(
+        par.last_launch_stats().decision,
+        LaunchDecision::SequentialUnproven
+    );
+    assert_eq!(bits(&seq_bufs), bits(&par_bufs));
+    assert_eq!(seq.ctx().counts(), par.ctx().counts());
 }
 
 #[test]
@@ -295,9 +276,8 @@ fn journal_shape_kernel_is_bit_identical() {
     // Forward shift: thread `t` reads `b0[t+1]` and writes `b0[t]`.
     // Every read belongs to a *different* thread's write slot, so the
     // kernel is proven independent but its footprint overlaps across
-    // threads — the launch must take the journaled snapshot path, not
-    // the direct-write path (on the compiled engine too, which routes
-    // journal shapes to the interpreted snapshot machinery).
+    // threads — there is no direct-write proof, and the launch must
+    // stay on the compiled sequential body even under ForceParallel.
     let src = "\
 .buffers 1
 ld r0, b0[tid+1]
@@ -306,28 +286,24 @@ st b0[tid], r0
     let prog = assemble("fwd_shift", src).expect("assembles");
     let report = racecheck(&prog);
     assert_eq!(report.verdict, Verdict::ThreadIndependent);
-    assert_eq!(store_shape(&report), Some(StoreShape::Journal));
+    assert_eq!(store_shape(&report), None);
 
     let threads = 301u32;
     for (label, cfg) in stock_configs() {
-        for engine in ENGINES {
-            for workers in [2usize, 8] {
-                let decision = assert_differential(
-                    &prog,
-                    &cfg,
-                    label,
-                    threads,
-                    workers,
-                    CutoverPolicy::ForceParallel,
-                    engine,
-                );
-                assert_eq!(
-                    decision,
-                    LaunchDecision::ParallelJournal,
-                    "fwd_shift/{label} at {workers} workers ({})",
-                    engine.label()
-                );
-            }
+        for workers in [2usize, 8] {
+            let decision = assert_differential(
+                &prog,
+                &cfg,
+                label,
+                threads,
+                workers,
+                CutoverPolicy::ForceParallel,
+            );
+            assert_eq!(
+                decision,
+                LaunchDecision::SequentialUnproven,
+                "fwd_shift/{label} at {workers} workers"
+            );
         }
     }
 }
@@ -335,7 +311,7 @@ st b0[tid], r0
 #[test]
 fn error_path_partial_state_is_identical() {
     // Strided read one past the end: the last thread faults. Every
-    // path — compiled-sequential and both engines' parallel bodies —
+    // path — compiled-sequential and the compiled parallel body —
     // must reproduce the sequential partial state: every thread before
     // the faulting one applied, nothing after.
     let src = "\
@@ -377,36 +353,31 @@ st b1[tid], r0
         );
         assert_eq!(seq.ctx().counts(), cseq.ctx().counts(), "{label}");
 
-        for engine in ENGINES {
-            let mut par_bufs = base.clone();
-            let mut par = WarpInterpreter::new(cfg.to_owned())
-                .with_engine(engine)
-                .with_workers(8)
-                .with_cutover(CutoverPolicy::ForceParallel);
-            let par_err = par
-                .launch(&prog, threads, &mut par_bufs)
-                .expect_err("last thread faults");
+        let mut par_bufs = base.clone();
+        let mut par = WarpInterpreter::new(cfg.to_owned())
+            .with_workers(8)
+            .with_cutover(CutoverPolicy::ForceParallel);
+        let par_err = par
+            .launch(&prog, threads, &mut par_bufs)
+            .expect_err("last thread faults");
 
-            let tag = format!("{label} ({})", engine.label());
-            assert!(par.last_launch_was_parallel(), "{tag}");
-            assert_eq!(par.last_launch_stats().engine, engine, "{tag}");
-            assert_eq!(seq_err, par_err, "{tag} error values diverge");
-            assert_eq!(
-                bits(&seq_bufs),
-                bits(&par_bufs),
-                "{tag} partial effects diverge"
-            );
-            assert_eq!(seq.ctx().counts(), par.ctx().counts(), "{tag}");
-            assert_eq!(seq.ctx().mem_ops(), par.ctx().mem_ops(), "{tag}");
-        }
+        assert!(par.last_launch_was_parallel(), "{label}");
+        assert_eq!(seq_err, par_err, "{label} error values diverge");
+        assert_eq!(
+            bits(&seq_bufs),
+            bits(&par_bufs),
+            "{label} partial effects diverge"
+        );
+        assert_eq!(seq.ctx().counts(), par.ctx().counts(), "{label}");
+        assert_eq!(seq.ctx().mem_ops(), par.ctx().mem_ops(), "{label}");
     }
 }
 
 #[test]
 fn journal_error_path_partial_state_is_identical() {
-    // Same faulting setup on the journal-shaped forward shift: the
-    // snapshot path must also reproduce the sequential partial state,
-    // whichever engine gated the launch.
+    // Same faulting setup on the forward shift, which has no
+    // direct-write proof: the compiled sequential body it falls back
+    // to must also reproduce the sequential partial state.
     let src = "\
 .buffers 1
 ld r0, b0[tid+1]
@@ -414,7 +385,7 @@ st b0[tid], r0
 ";
     let prog = assemble("fwd_shift_oob", src).expect("assembles");
     let report = racecheck(&prog);
-    assert_eq!(store_shape(&report), Some(StoreShape::Journal));
+    assert_eq!(store_shape(&report), None);
 
     let threads = 53u32;
     // Exactly `threads` elements → the last thread's read faults.
@@ -427,26 +398,22 @@ st b0[tid], r0
         .launch_sequential(&prog, threads, &mut seq_bufs)
         .expect_err("last thread faults");
 
-    for engine in ENGINES {
-        let mut par_bufs = base.clone();
-        let mut par = WarpInterpreter::new(cfg.to_owned())
-            .with_engine(engine)
-            .with_workers(8)
-            .with_cutover(CutoverPolicy::ForceParallel);
-        let par_err = par
-            .launch(&prog, threads, &mut par_bufs)
-            .expect_err("last thread faults");
+    let mut par_bufs = base;
+    let mut par = WarpInterpreter::new(cfg.to_owned())
+        .with_workers(8)
+        .with_cutover(CutoverPolicy::ForceParallel);
+    let par_err = par
+        .launch(&prog, threads, &mut par_bufs)
+        .expect_err("last thread faults");
 
-        let tag = format!("{label} ({})", engine.label());
-        assert_eq!(
-            par.last_launch_stats().decision,
-            LaunchDecision::ParallelJournal,
-            "{tag}"
-        );
-        assert_eq!(seq_err, par_err, "{tag} error values diverge");
-        assert_eq!(bits(&seq_bufs), bits(&par_bufs), "{tag}");
-        assert_eq!(seq.ctx().counts(), par.ctx().counts(), "{tag}");
-    }
+    assert_eq!(
+        par.last_launch_stats().decision,
+        LaunchDecision::SequentialUnproven,
+        "{label}"
+    );
+    assert_eq!(seq_err, par_err, "{label} error values diverge");
+    assert_eq!(bits(&seq_bufs), bits(&par_bufs), "{label}");
+    assert_eq!(seq.ctx().counts(), par.ctx().counts(), "{label}");
 }
 
 #[test]
@@ -455,24 +422,14 @@ fn zero_and_single_thread_launches_match() {
     // involvement) and still be differentially exact.
     let prog = stock_kernels().remove(0);
     let (label, cfg) = &stock_configs()[0];
-    for engine in ENGINES {
-        for threads in [0u32, 1] {
-            let decision = assert_differential(
-                &prog,
-                cfg,
-                label,
-                threads,
-                8,
-                CutoverPolicy::ForceParallel,
-                engine,
-            );
-            assert_eq!(
-                decision,
-                LaunchDecision::SequentialBudget,
-                "{threads}-thread launch has no parallelism to spend ({})",
-                engine.label()
-            );
-        }
+    for threads in [0u32, 1] {
+        let decision =
+            assert_differential(&prog, cfg, label, threads, 8, CutoverPolicy::ForceParallel);
+        assert_eq!(
+            decision,
+            LaunchDecision::SequentialBudget,
+            "{threads}-thread launch has no parallelism to spend"
+        );
     }
 }
 
@@ -487,13 +444,47 @@ fn worker_budget_larger_than_launch_still_matches() {
         .launch_sequential(&prog, 3, &mut seq_bufs)
         .expect("runs");
 
-    for engine in ENGINES {
-        let mut par_bufs = base.clone();
-        let mut par = WarpInterpreter::new(cfg.to_owned())
-            .with_engine(engine)
-            .with_workers(64)
-            .with_cutover(CutoverPolicy::ForceParallel);
-        par.launch(&prog, 3, &mut par_bufs).expect("runs");
-        assert_eq!(bits(&seq_bufs), bits(&par_bufs));
+    let mut par_bufs = base;
+    let mut par = WarpInterpreter::new(cfg.to_owned())
+        .with_workers(64)
+        .with_cutover(CutoverPolicy::ForceParallel);
+    par.launch(&prog, 3, &mut par_bufs).expect("runs");
+    assert_eq!(bits(&seq_bufs), bits(&par_bufs));
+}
+
+#[test]
+fn interpreted_engine_never_fans_out() {
+    // The reference engine ignores the worker budget and the cutover
+    // policy: even a proven direct-write kernel under ForceParallel
+    // runs `launch_sequential`, bit for bit.
+    let threads = 129u32;
+    for prog in stock_kernels() {
+        for (label, cfg) in stock_configs() {
+            let base = seed_buffers(&prog, threads);
+            let mut seq_bufs = base.clone();
+            let mut seq = WarpInterpreter::new(cfg.to_owned());
+            seq.enable_trace();
+            seq.launch_sequential(&prog, threads, &mut seq_bufs)
+                .expect("sequential runs");
+
+            let mut ref_bufs = base;
+            let mut reference = WarpInterpreter::new(cfg.to_owned())
+                .with_engine(ExecEngine::Interpreted)
+                .with_workers(8)
+                .with_cutover(CutoverPolicy::ForceParallel);
+            reference.enable_trace();
+            reference
+                .launch(&prog, threads, &mut ref_bufs)
+                .expect("reference runs");
+
+            let tag = format!("{}/{label}", prog.name());
+            let stats = reference.last_launch_stats();
+            assert!(!stats.decision.is_parallel(), "{tag}: never fans out");
+            assert_eq!(stats.decision, LaunchDecision::SequentialBudget, "{tag}");
+            assert_eq!(stats.engine, ExecEngine::Interpreted, "{tag}");
+            assert_eq!(bits(&seq_bufs), bits(&ref_bufs), "{tag}: buffers diverge");
+            assert_ctx_equal(&seq, &reference, &tag);
+            assert_eq!(seq.take_trace(), reference.take_trace(), "{tag}: traces");
+        }
     }
 }

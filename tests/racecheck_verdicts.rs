@@ -79,7 +79,7 @@ proptest! {
     #[test]
     fn thread_independent_kernels_take_the_parallel_path(accesses in vec(access(), 1..6)) {
         use imprecise_gpgpu::core::prelude::IhwConfig;
-        use imprecise_gpgpu::sim::deps::footprints;
+        use imprecise_gpgpu::sim::deps::{footprints, store_shape};
         use imprecise_gpgpu::sim::isa::{CutoverPolicy, WarpInterpreter};
 
         let prog = build(&accesses);
@@ -106,16 +106,21 @@ proptest! {
         // ForceParallel pins the cutover decision: under Adaptive the
         // 12-thread launch is below the overhead threshold (and a
         // 1-core host never fans out), which would make the
-        // verdict ⇔ parallel-path equivalence below vacuous.
+        // proof ⇔ parallel-path equivalence below vacuous.
         let mut par = WarpInterpreter::new(IhwConfig::all_imprecise())
             .with_workers(4)
             .with_cutover(CutoverPolicy::ForceParallel);
         par.launch(&prog, threads, &mut par_bufs).expect("in bounds");
 
+        // The direct-write proof refines a thread-independence proof;
+        // independent kernels without it (write-after-read shapes)
+        // stay on the sequential body.
+        let direct_write = store_shape(&report).is_some();
+        prop_assert!(!direct_write || report.verdict == Verdict::ThreadIndependent);
         prop_assert_eq!(
             par.last_launch_was_parallel(),
-            report.verdict == Verdict::ThreadIndependent,
-            "parallel path must be taken exactly on proven-independent kernels"
+            direct_write,
+            "parallel path must be taken exactly on kernels with the direct-write proof"
         );
         let bits = |bufs: &[Vec<f32>]| -> Vec<Vec<u32>> {
             bufs.iter().map(|b| b.iter().map(|x| x.to_bits()).collect()).collect()
