@@ -21,10 +21,11 @@
 //!   cell and then share the *same* `Arc`'d outcome (the reply says
 //!   whether it was coalesced, and the stats count dedup hits).
 //! * **Execution** — through [`gpu_sim::concurrent::SharedInterpreter`]
-//!   on the compiled engine: one long-lived interpreter whose
-//!   LRU-bounded plan cache stays warm across requests with different
-//!   configs, fanning threads across the persistent `ihw-pool` when
-//!   the worker budget and the racecheck proof allow it.
+//!   on the compiled engine: distinct requests launch in parallel, each
+//!   on a fresh per-request context under its own config, over one
+//!   shared LRU-bounded plan cache that stays warm across configs; a
+//!   launch fans its threads across the persistent `ihw-pool` when the
+//!   worker budget and the racecheck proof allow it.
 //! * **Fault isolation** — a request that faults (memory error) or
 //!   panics fails alone: the error is stored in *its* outcome, sibling
 //!   tenants and subsequent requests are untouched (the pool's
@@ -94,11 +95,17 @@ pub struct LaunchRequest {
     pub buffers: Vec<Vec<f32>>,
 }
 
+/// The op-denominated admission estimate of launching `threads`
+/// threads of `program`: instructions × threads, the same denomination
+/// the adaptive cutover prices launches in.
+pub fn est_ops(program: &Program, threads: u32) -> u64 {
+    program.instrs().len() as u64 * u64::from(threads)
+}
+
 impl LaunchRequest {
-    /// The op-denominated admission estimate: instructions × threads,
-    /// the same denomination the adaptive cutover prices launches in.
+    /// The request's admission estimate ([`est_ops`]).
     pub fn est_ops(&self) -> u64 {
-        self.program.instrs().len() as u64 * u64::from(self.threads)
+        est_ops(&self.program, self.threads)
     }
 }
 
@@ -320,28 +327,39 @@ impl LaunchService {
 /// depends on the tenant index) and therefore cannot coalesce; the rest
 /// are identical across tenants and *should* — that ratio is what the
 /// dedup-hit honesty gate checks.
-pub fn stock_requests(tenants: usize, requests: usize, threads: u32) -> Vec<Vec<LaunchRequest>> {
+///
+/// Requests are priced before their payloads are built: one whose
+/// estimate exceeds `max_ops` carries no buffers, since admission
+/// control refuses it on its price alone.
+pub fn stock_requests(
+    tenants: usize,
+    requests: usize,
+    threads: u32,
+    max_ops: u64,
+) -> Vec<Vec<LaunchRequest>> {
     let kernels = ihw_analyze::stock_kernels();
     let configs = ihw_analyze::stock_configs();
     (0..tenants)
         .map(|tenant| {
             (0..requests)
                 .map(|r| {
-                    let program = kernels[r % kernels.len()].clone();
                     let (label, config) = configs[r % configs.len()];
-                    let mut buffers = seed_buffers(&program, threads);
-                    if r % 5 == 0 {
-                        if let Some(x) = buffers.first_mut().and_then(|b| b.first_mut()) {
-                            *x = 0.5 + (tenant as f32 + 1.0) / 1024.0;
-                        }
-                    }
-                    LaunchRequest {
-                        program,
+                    let mut req = LaunchRequest {
+                        program: kernels[r % kernels.len()].clone(),
                         config,
                         config_label: label.to_string(),
                         threads,
-                        buffers,
+                        buffers: Vec::new(),
+                    };
+                    if req.est_ops() <= max_ops {
+                        req.buffers = seed_buffers(&req.program, threads);
+                        if r % 5 == 0 {
+                            if let Some(x) = req.buffers.first_mut().and_then(|b| b.first_mut()) {
+                                *x = 0.5 + (tenant as f32 + 1.0) / 1024.0;
+                            }
+                        }
                     }
+                    req
                 })
                 .collect()
         })
@@ -441,7 +459,7 @@ pub fn run_serve(
     let mut reference: Option<TenantResponses> = None;
     for workers in 1..=max_workers {
         let service = Arc::new(LaunchService::new(workers, max_ops));
-        let mix = stock_requests(tenants, requests, threads);
+        let mix = stock_requests(tenants, requests, threads, max_ops);
         let sw = Stopwatch::start();
         let handles: Vec<_> = mix
             .into_iter()
@@ -727,6 +745,22 @@ pub fn run_cli(args: &[String]) -> i32 {
                 return 2;
             }
         }
+    }
+    // Price the mix before anything is allocated: when admission would
+    // refuse every request there is nothing to measure.
+    let kernels = ihw_analyze::stock_kernels();
+    let cheapest = kernels
+        .iter()
+        .take(requests)
+        .map(|k| est_ops(k, threads))
+        .min()
+        .unwrap_or(0);
+    if cheapest > max_ops {
+        eprintln!(
+            "serve: no request is admitted: the cheapest is estimated at {cheapest} ops \
+             (instructions × threads), over the --max-ops budget of {max_ops}"
+        );
+        return 2;
     }
     let host = host_parallelism();
     let (max_workers, workers_clamped) = match workers {

@@ -51,3 +51,41 @@ fn value_flags_and_experiment_names_still_parse() {
     assert_eq!(out.status.code(), Some(2), "trailing value flag exits 2");
     assert!(text(&out.stderr).contains("--jobs expects a value"));
 }
+
+#[test]
+fn serve_prices_requests_before_allocating_them() {
+    // 4294967295 threads would need 17 GB per input buffer; the
+    // mix must be priced and refused before any payload is built.
+    let out_file = std::env::temp_dir().join("cli_args_serve_unadmitted.json");
+    let _ = std::fs::remove_file(&out_file);
+    let out = repro(&[
+        "serve",
+        "--threads",
+        "4294967295",
+        "--workers",
+        "1",
+        "--out",
+        out_file.to_str().expect("utf-8 temp path"),
+    ]);
+    let stderr = text(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "nothing admitted exits 2: {stderr}"
+    );
+    let cheapest = ihw_analyze::stock_kernels()
+        .iter()
+        .map(|k| ihw_bench::serve::est_ops(k, u32::MAX))
+        .min()
+        .expect("stock kernels exist");
+    assert!(
+        stderr.contains(&format!("{cheapest} ops")),
+        "names the estimate: {stderr}"
+    );
+    let budget = ihw_bench::serve::DEFAULT_MAX_OPS;
+    assert!(
+        stderr.contains(&format!("--max-ops budget of {budget}")),
+        "names the budget: {stderr}"
+    );
+    assert!(!out_file.exists(), "no record is written");
+}

@@ -55,7 +55,7 @@ fn interleaved_tenants_are_byte_identical_to_sequential_at_any_worker_count() {
     const TENANTS: usize = 3;
     const REQUESTS: usize = 8;
     const THREADS: u32 = 96;
-    let mix = stock_requests(TENANTS, REQUESTS, THREADS);
+    let mix = stock_requests(TENANTS, REQUESTS, THREADS, u64::MAX);
 
     // Sequential reference: one tenant at a time on a 1-worker service.
     let reference: Vec<Vec<Option<Vec<Vec<u32>>>>> = {

@@ -1,41 +1,39 @@
 //! Concurrent launch surface: a [`SharedInterpreter`] that many
-//! tenants (threads) can drive at once.
+//! tenants (threads) drive at once.
 //!
-//! The [`crate::isa::WarpInterpreter`] is deliberately `&mut self` —
-//! one launch at a time owns the counters, the plan cache and the
-//! datapath config. A multi-tenant front door (`repro serve`) needs
-//! the *opposite* shape: many request threads, one long-lived
-//! interpreter whose plan cache stays warm across requests with
-//! *different* configs. `SharedInterpreter` provides that by
-//! serializing launches behind a mutex while keeping everything
-//! launch-scoped explicit:
+//! A multi-tenant front door (`repro serve`) needs many request
+//! threads over one long-lived interpreter whose plan cache stays warm
+//! across requests with *different* configs. [`SharedInterpreter`]
+//! wraps the `&self` launch core behind
+//! [`crate::isa::WarpInterpreter`], so launches run in parallel, and
+//! keeps everything launch-scoped in the launch:
 //!
 //! * the datapath config travels **with the request** — each launch
-//!   names its own [`IhwConfig`], and the interpreter is re-pointed via
-//!   [`crate::isa::WarpInterpreter::set_config`] only when it differs
-//!   from the previous launch's (the plan cache is keyed on
-//!   `(program, config)`, so config switches stay warm);
-//! * counters are reset per launch, so the returned
-//!   [`crate::isa::LaunchStats`] and energy counters describe exactly
-//!   one request;
-//! * a panicking launch is contained: the panic is caught, the
-//!   interpreter is rebuilt to a consistent state, and the caller gets
-//!   [`LaunchError::Panicked`] — one faulting request never takes a
-//!   sibling tenant (or the process) down. Mutex poisoning from such a
-//!   panic is recovered for the same reason.
+//!   names its own [`IhwConfig`] and runs on a fresh [`FpCtx`] over it,
+//!   so the returned [`crate::isa::LaunchStats`] and counters describe
+//!   exactly one request;
+//! * the plan cache is the one shared mutable structure, keyed on
+//!   `(program, config)`: its lock covers a lookup and a miss's
+//!   compile, never a lane loop, and concurrent cold launches of one
+//!   plan compile it once;
+//! * a panicking launch is contained: the panic is caught and the
+//!   caller gets [`LaunchError::Panicked`]. A launch owns nothing
+//!   another launch reads except the plan cache, which stays
+//!   consistent through a panic, so one faulting request never takes a
+//!   sibling tenant (or the process) down.
 //!
-//! Determinism carries over unchanged: launches are serialized, each
-//! starts from a per-launch-reset context, and the compiled engine is
-//! bit-identical to the interpreted reference at any worker count — so
-//! any interleaving of requests produces byte-identical per-request
-//! outputs to running them sequentially (asserted by `ihw-bench`'s
-//! serve concurrency tests).
+//! Determinism carries over unchanged: every launch starts from a
+//! fresh context, plans are pure functions of `(program, config)`, and
+//! the compiled engine is bit-identical to the interpreted reference at
+//! any worker count — so any interleaving of requests produces
+//! byte-identical per-request outputs to running them sequentially
+//! (asserted by `ihw-bench`'s serve concurrency tests).
 
-use crate::isa::{ExecError, LaunchStats, Program, WarpInterpreter};
+use crate::dispatch::FpCtx;
+use crate::isa::{ExecError, LaunchCore, LaunchStats, Program, WarpInterpreter};
 use crate::plan::PlanCacheStats;
 use ihw_core::config::IhwConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Why a concurrent launch failed, per request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,8 +43,8 @@ pub enum LaunchError {
     /// written, identically so on any execution path.
     Exec(ExecError),
     /// The launch panicked inside the engine; the payload is rendered
-    /// to text. The interpreter was rebuilt afterwards, so subsequent
-    /// launches (and concurrent tenants) are unaffected.
+    /// to text. Subsequent launches (and concurrent tenants) are
+    /// unaffected.
     Panicked(String),
 }
 
@@ -68,71 +66,45 @@ pub struct LaunchOutcome {
     pub buffers: Vec<Vec<f32>>,
     /// `Ok` for a clean launch, or the per-request failure.
     pub result: Result<(), LaunchError>,
-    /// Cost-model inputs and path decision of this launch.
+    /// Cost-model inputs and path decision of this launch (a panicked
+    /// launch reports its cost-model inputs with no path taken).
     pub stats: LaunchStats,
 }
 
 /// A thread-safe, long-lived interpreter for multi-tenant launching.
 ///
-/// See the [module docs](self) for the contract. Construction mirrors
-/// [`WarpInterpreter::new`]; the config given here is only the initial
-/// one — every [`SharedInterpreter::launch`] names its own.
-#[derive(Debug)]
+/// See the [module docs](self) for the contract.
+#[derive(Debug, Default)]
 pub struct SharedInterpreter {
-    inner: Mutex<WarpInterpreter>,
-}
-
-/// A panicking launch cannot corrupt the interpreter (it is rebuilt
-/// before the lock is released), so recover the guard instead of
-/// propagating a stranger's panic to an unrelated tenant.
-fn recover<'a>(
-    r: Result<MutexGuard<'a, WarpInterpreter>, PoisonError<MutexGuard<'a, WarpInterpreter>>>,
-) -> MutexGuard<'a, WarpInterpreter> {
-    r.unwrap_or_else(PoisonError::into_inner)
+    core: LaunchCore,
 }
 
 impl SharedInterpreter {
-    /// Wraps a fresh [`WarpInterpreter`] over `cfg` (sequential,
-    /// adaptive cutover, compiled engine — the same defaults).
-    pub fn new(cfg: IhwConfig) -> Self {
-        SharedInterpreter {
-            inner: Mutex::new(WarpInterpreter::new(cfg)),
-        }
+    /// A shared interpreter with [`WarpInterpreter::new`]'s defaults
+    /// (sequential, adaptive cutover, compiled engine).
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Wraps an already-configured interpreter (engine, cutover,
-    /// worker budget and plan-cache capacity as set by the caller).
+    /// Shares an already-configured interpreter: its engine, cutover,
+    /// worker budget and plan cache (capacity and warm plans). Its
+    /// config and counters are dropped — every launch names its own
+    /// config and gets fresh counters.
     pub fn from_interpreter(sim: WarpInterpreter) -> Self {
         SharedInterpreter {
-            inner: Mutex::new(sim),
+            core: sim.into_core(),
         }
-    }
-
-    /// Sets the per-launch worker budget (min 1) and returns `self`
-    /// (builder style).
-    pub fn with_workers(self, workers: usize) -> Self {
-        recover(self.inner.lock()).set_workers(workers);
-        self
-    }
-
-    /// Runs `f` with exclusive access to the underlying interpreter —
-    /// for configuration (engine, cutover, plan-cache capacity) and
-    /// diagnostics, not for launching (use
-    /// [`SharedInterpreter::launch`], which owns the per-request
-    /// reset/containment discipline).
-    pub fn with<R>(&self, f: impl FnOnce(&mut WarpInterpreter) -> R) -> R {
-        f(&mut recover(self.inner.lock()))
     }
 
     /// Snapshot of the shared plan cache's hit/miss/eviction counters.
     pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        recover(self.inner.lock()).plan_cache_stats()
+        self.core.plan_cache_stats()
     }
 
     /// Runs `threads` threads of `prog` under `cfg` over `buffers`,
     /// returning the written buffers plus per-request stats. Safe to
-    /// call from any number of threads; launches serialize on the
-    /// interpreter, and each one observes a freshly reset context.
+    /// call from any number of threads; launches run in parallel, each
+    /// on its own fresh context.
     pub fn launch(
         &self,
         prog: &Program,
@@ -140,35 +112,26 @@ impl SharedInterpreter {
         threads: u32,
         mut buffers: Vec<Vec<f32>>,
     ) -> LaunchOutcome {
-        let mut sim = recover(self.inner.lock());
-        if sim.config() == cfg {
-            sim.reset_counters();
-        } else {
-            sim.set_config(*cfg);
-        }
-        let run = catch_unwind(AssertUnwindSafe(|| sim.launch(prog, threads, &mut buffers)));
-        match run {
-            Ok(result) => LaunchOutcome {
-                buffers,
-                result: result.map_err(LaunchError::Exec),
-                stats: sim.last_launch_stats(),
-            },
+        let mut ctx = FpCtx::new(*cfg);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            self.core.launch(&mut ctx, prog, threads, &mut buffers)
+        }));
+        let (stats, result) = match run {
+            Ok((stats, result)) => (stats, result.map_err(LaunchError::Exec)),
             Err(payload) => {
                 let msg = payload
                     .downcast_ref::<&str>()
                     .map(|s| (*s).to_owned())
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "<non-string panic payload>".to_owned());
-                let stats = sim.last_launch_stats();
-                // Rebuild the context so the next tenant starts clean;
-                // the plan cache is exception-safe and stays.
-                sim.set_config(*cfg);
-                LaunchOutcome {
-                    buffers,
-                    result: Err(LaunchError::Panicked(msg)),
-                    stats,
-                }
+                let stats = self.core.price(prog, threads);
+                (stats, Err(LaunchError::Panicked(msg)))
             }
+        };
+        LaunchOutcome {
+            buffers,
+            result,
+            stats,
         }
     }
 }
@@ -194,7 +157,7 @@ mod tests {
 
     #[test]
     fn per_request_configs_share_one_plan_cache() {
-        let sim = SharedInterpreter::new(IhwConfig::precise());
+        let sim = SharedInterpreter::new();
         let prog = programs::saxpy(2.0);
         let bufs = seed(&prog, 64);
         let precise = sim.launch(&prog, &IhwConfig::precise(), 64, bufs.clone());
@@ -226,13 +189,13 @@ mod tests {
         let reference: Vec<Vec<Vec<f32>>> = configs
             .iter()
             .map(|cfg| {
-                let sim = SharedInterpreter::new(*cfg);
+                let sim = SharedInterpreter::new();
                 sim.launch(&prog, cfg, threads, seed(&prog, threads))
                     .buffers
             })
             .collect();
         // Concurrent: three tenants hammer one shared interpreter.
-        let sim = Arc::new(SharedInterpreter::new(IhwConfig::precise()));
+        let sim = Arc::new(SharedInterpreter::new());
         let handles: Vec<_> = configs
             .iter()
             .map(|cfg| {
@@ -261,7 +224,7 @@ mod tests {
 
     #[test]
     fn exec_errors_stay_per_request() {
-        let sim = SharedInterpreter::new(IhwConfig::precise());
+        let sim = SharedInterpreter::new();
         let prog = programs::saxpy(2.0);
         // Too-short buffers fault...
         let short: Vec<Vec<f32>> = seed(&prog, 64)

@@ -503,7 +503,7 @@ impl ExecEngine {
     }
 }
 
-/// Which path the most recent launch took, and why.
+/// Which path a launch took, and why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaunchDecision {
     /// Worker budget, thread count or the reference engine permits no
@@ -537,7 +537,7 @@ impl LaunchDecision {
     }
 }
 
-/// Cost-model inputs and the path decision of the most recent launch.
+/// Cost-model inputs and the path decision of one launch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchStats {
     /// Threads of the launch.
@@ -568,6 +568,193 @@ fn host_parallelism() -> usize {
     *HOST.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
+/// The `&self` launch core: the launch policy (worker budget, cutover,
+/// overhead model, engine) and the plan cache. A launch reads the
+/// policy, takes its counters in a caller-owned [`FpCtx`] (whose config
+/// is the launch's config) and returns its own [`LaunchStats`], so any
+/// number of threads can launch through one core at once; the plan
+/// cache is the only shared mutable state and synchronises itself.
+#[derive(Debug)]
+pub(crate) struct LaunchCore {
+    workers: usize,
+    cutover: CutoverPolicy,
+    overhead_ops: u64,
+    engine: ExecEngine,
+    plans: PlanCache,
+}
+
+impl Default for LaunchCore {
+    /// Sequential: worker budget 1, adaptive cutover, compiled engine.
+    fn default() -> Self {
+        LaunchCore {
+            workers: 1,
+            cutover: CutoverPolicy::Adaptive,
+            overhead_ops: DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
+            engine: ExecEngine::default(),
+            plans: PlanCache::default(),
+        }
+    }
+}
+
+impl LaunchCore {
+    /// The cost-model inputs of a `threads`-thread launch of `prog`,
+    /// before any path is chosen (decision `SequentialBudget`).
+    pub(crate) fn price(&self, prog: &Program, threads: u32) -> LaunchStats {
+        LaunchStats {
+            threads,
+            workers: self.workers.min(threads as usize).max(1),
+            est_ops: prog.instrs.len() as u64 * u64::from(threads),
+            overhead_ops: self.overhead_ops,
+            engine: self.engine,
+            decision: LaunchDecision::SequentialBudget,
+        }
+    }
+
+    /// Runs `threads` threads of `prog` under `ctx.config()`, crediting
+    /// `ctx`: see [`WarpInterpreter::launch`] for the decision tree.
+    /// Returns the launch's stats alongside its result.
+    pub(crate) fn launch(
+        &self,
+        ctx: &mut FpCtx,
+        prog: &Program,
+        threads: u32,
+        buffers: &mut [Vec<f32>],
+    ) -> (LaunchStats, Result<(), ExecError>) {
+        let mut stats = self.price(prog, threads);
+        if self.engine == ExecEngine::Interpreted {
+            return (stats, run_interpreted(ctx, prog, threads, buffers));
+        }
+        let plan = self.plans.get_or_compile(prog, ctx.config());
+        if stats.workers > 1 {
+            if plan.direct_write().is_none() {
+                stats.decision = LaunchDecision::SequentialUnproven;
+            } else {
+                let fan_out = match self.cutover {
+                    CutoverPolicy::ForceParallel => true,
+                    CutoverPolicy::ForceSequential => false,
+                    CutoverPolicy::Adaptive => {
+                        stats.workers.min(host_parallelism()) > 1
+                            && stats.est_ops >= self.overhead_ops
+                    }
+                };
+                if fan_out {
+                    stats.decision = LaunchDecision::ParallelDirect;
+                    let result = run_compiled_parallel(stats.workers, &plan, ctx, threads, buffers);
+                    return (stats, result);
+                }
+                stats.decision = LaunchDecision::SequentialCutover;
+            }
+        }
+        (stats, run_compiled_sequential(&plan, ctx, threads, buffers))
+    }
+
+    /// Snapshot of the plan cache's counters and occupancy.
+    pub(crate) fn plan_cache_stats(&self) -> crate::plan::PlanCacheStats {
+        self.plans.stats()
+    }
+}
+
+/// Compiled sequential body: static fault precheck, lane blocks over
+/// the clean tid range, scalar replay of the faulting thread's
+/// instruction prefix, counters credited from the plan's static cost
+/// table.
+fn run_compiled_sequential(
+    plan: &CompiledKernel,
+    ctx: &mut FpCtx,
+    threads: u32,
+    buffers: &mut [Vec<f32>],
+) -> Result<(), ExecError> {
+    let fault = plan.first_fault(buffers, threads);
+    let complete = fault.as_ref().map_or(threads, |f| f.tid);
+    let mut rf = RegFile::new(plan.regs());
+    let mut mem = SeqMem { buffers };
+    plan.run_range(&mut rf, &mut mem, 0, complete);
+    if let Some(f) = &fault {
+        plan.run_prefix(&mut rf, &mut mem, f.tid, f.instr);
+    }
+    plan.absorb_into(ctx, complete, fault.as_ref().map(|f| f.instr));
+    fault.map_or(Ok(()), |f| Err(f.err))
+}
+
+/// Compiled parallel body, licensed by the direct-write proof: no
+/// snapshot copy. The static precheck bounds the clean tid range up
+/// front, so chunks execute lane blocks against the launch-entry
+/// buffers — *moved* behind an `Arc` and reclaimed once the pool has
+/// dropped every chunk's captures — and hand back only their dense
+/// disjoint output windows. Counters come from the plan's static table
+/// — chunk workers do no counting at all.
+fn run_compiled_parallel(
+    workers: usize,
+    plan: &Arc<CompiledKernel>,
+    ctx: &mut FpCtx,
+    threads: u32,
+    buffers: &mut [Vec<f32>],
+) -> Result<(), ExecError> {
+    let fault = plan.first_fault(buffers, threads);
+    let complete = fault.as_ref().map_or(threads, |f| f.tid);
+    if complete > 0 {
+        let chunk = (complete as usize).div_ceil(workers);
+        let ranges: Vec<(u32, u32)> = (0..workers)
+            .map(|w| {
+                let lo = (w * chunk).min(complete as usize) as u32;
+                let hi = ((w + 1) * chunk).min(complete as usize) as u32;
+                (lo, hi)
+            })
+            .filter(|(lo, hi)| lo < hi)
+            .collect();
+        let base: Arc<Vec<Vec<f32>>> = Arc::new(buffers.iter_mut().map(std::mem::take).collect());
+        let shared = Arc::clone(&base);
+        let plan_shared = Arc::clone(plan);
+        let results = ihw_pool::sweep_with(workers, ranges, move |(lo, hi)| {
+            let mut rf = RegFile::new(plan_shared.regs());
+            let offsets = plan_shared.direct_write().expect("fan-out needs the proof");
+            let mut mem = ChunkMem::new(&shared, offsets, lo, hi);
+            plan_shared.run_range(&mut rf, &mut mem, lo, hi);
+            mem.into_windows()
+        });
+        let reclaimed = Arc::try_unwrap(base).expect("chunks released the launch snapshot");
+        for (slot, owned) in buffers.iter_mut().zip(reclaimed) {
+            *slot = owned;
+        }
+        for out in results.into_iter().flatten() {
+            let dst = &mut buffers[out.buf];
+            let blen = dst.len() as i64;
+            let from = out.start.clamp(0, blen);
+            let to = (out.start + out.vals.len() as i64).clamp(from, blen);
+            if from < to {
+                let voff = (from - out.start) as usize;
+                let n = (to - from) as usize;
+                dst[from as usize..to as usize].copy_from_slice(&out.vals[voff..voff + n]);
+            }
+        }
+    }
+    if let Some(f) = &fault {
+        let mut rf = RegFile::new(plan.regs());
+        let mut mem = SeqMem { buffers };
+        plan.run_prefix(&mut rf, &mut mem, f.tid, f.instr);
+    }
+    plan.absorb_into(ctx, complete, fault.as_ref().map(|f| f.instr));
+    fault.map_or(Ok(()), |f| Err(f.err))
+}
+
+/// The interpreted reference oracle: every thread re-interprets the
+/// instruction stream through `exec_step`, in tid order.
+fn run_interpreted(
+    ctx: &mut FpCtx,
+    prog: &Program,
+    threads: u32,
+    buffers: &mut [Vec<f32>],
+) -> Result<(), ExecError> {
+    let mut regs = vec![0.0f32; prog.regs as usize];
+    for tid in 0..threads {
+        regs.iter_mut().for_each(|r| *r = 0.0);
+        for instr in &prog.instrs {
+            exec_step(ctx, *instr, tid, &mut regs, buffers)?;
+        }
+    }
+    Ok(())
+}
+
 /// Executes programs thread-by-thread through the IHW dispatch.
 ///
 /// With a worker budget above 1 ([`WarpInterpreter::set_workers`]),
@@ -580,14 +767,15 @@ fn host_parallelism() -> usize {
 /// produce bit-identical buffers, op counters and issue-port traces;
 /// [`WarpInterpreter::last_launch_stats`] records which path ran and
 /// why.
+///
+/// The interpreter is a thin `&mut self` wrapper over a `&self` launch
+/// core: it owns the accumulated counters and the last launch's stats.
+/// [`crate::concurrent::SharedInterpreter`] drives the same core from
+/// many threads at once.
 #[derive(Debug)]
 pub struct WarpInterpreter {
     ctx: FpCtx,
-    workers: usize,
-    cutover: CutoverPolicy,
-    overhead_ops: u64,
-    engine: ExecEngine,
-    plans: PlanCache,
+    core: LaunchCore,
     last_stats: LaunchStats,
 }
 
@@ -596,23 +784,26 @@ impl WarpInterpreter {
     /// (sequential: worker budget 1, adaptive cutover, compiled
     /// engine).
     pub fn new(cfg: IhwConfig) -> Self {
-        let engine = ExecEngine::default();
+        let core = LaunchCore::default();
+        let last_stats = LaunchStats {
+            threads: 0,
+            workers: 1,
+            est_ops: 0,
+            overhead_ops: core.overhead_ops,
+            engine: core.engine,
+            decision: LaunchDecision::SequentialBudget,
+        };
         WarpInterpreter {
             ctx: FpCtx::new(cfg),
-            workers: 1,
-            cutover: CutoverPolicy::Adaptive,
-            overhead_ops: DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
-            engine,
-            plans: PlanCache::default(),
-            last_stats: LaunchStats {
-                threads: 0,
-                workers: 1,
-                est_ops: 0,
-                overhead_ops: DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS,
-                engine,
-                decision: LaunchDecision::SequentialBudget,
-            },
+            core,
+            last_stats,
         }
+    }
+
+    /// Gives up the launch core (policy and warm plan cache), dropping
+    /// the counters.
+    pub(crate) fn into_core(self) -> LaunchCore {
+        self.core
     }
 
     /// Sets the execution engine and returns `self` (builder style).
@@ -625,45 +816,29 @@ impl WarpInterpreter {
     /// engines are bit-identical in buffers, counters and traces; the
     /// choice only moves throughput.
     pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
+        self.core.engine = engine;
     }
 
     /// The engine serving [`WarpInterpreter::launch`].
     pub fn engine(&self) -> ExecEngine {
-        self.engine
+        self.core.engine
     }
 
     /// Number of plans currently held by the compiled engine's cache.
     pub fn cached_plans(&self) -> usize {
-        self.plans.len()
+        self.core.plans.len()
     }
 
     /// Snapshot of the plan cache's cumulative hit/miss/eviction
     /// counters and occupancy.
     pub fn plan_cache_stats(&self) -> crate::plan::PlanCacheStats {
-        self.plans.stats()
+        self.core.plan_cache_stats()
     }
 
     /// Rebounds the plan cache to `capacity` plans (min 1), evicting
     /// least-recently-used entries immediately if it now overflows.
     pub fn set_plan_cache_capacity(&mut self, capacity: usize) {
-        self.plans.set_capacity(capacity);
-    }
-
-    /// Switches the interpreter to a new datapath configuration,
-    /// resetting the performance counters (they are meaningless across
-    /// a config change) while preserving the tracing flag and the plan
-    /// cache — plans are keyed on `(program, config)`, so previously
-    /// compiled configs stay warm for when a later launch switches
-    /// back. This is what lets one long-lived interpreter serve
-    /// per-request config diversity instead of being rebuilt per
-    /// launch.
-    pub fn set_config(&mut self, cfg: IhwConfig) {
-        let tracing = self.ctx.is_tracing();
-        self.ctx = FpCtx::new(cfg);
-        if tracing {
-            self.ctx.enable_trace();
-        }
+        self.core.plans.set_capacity(capacity);
     }
 
     /// The datapath configuration launches currently execute under.
@@ -681,12 +856,12 @@ impl WarpInterpreter {
     /// budget is an upper bound: it only takes effect on kernels the
     /// race analysis proves thread-independent.
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
+        self.core.workers = workers.max(1);
     }
 
     /// The current worker budget.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.core.workers
     }
 
     /// Sets the cutover policy and returns `self` (builder style).
@@ -697,12 +872,12 @@ impl WarpInterpreter {
 
     /// Sets when proven-independent launches may actually fan out.
     pub fn set_cutover(&mut self, cutover: CutoverPolicy) {
-        self.cutover = cutover;
+        self.core.cutover = cutover;
     }
 
     /// The current cutover policy.
     pub fn cutover(&self) -> CutoverPolicy {
-        self.cutover
+        self.core.cutover
     }
 
     /// Installs a calibrated per-launch parallel overhead estimate (in
@@ -710,14 +885,14 @@ impl WarpInterpreter {
     /// falls below it stay sequential under
     /// [`CutoverPolicy::Adaptive`].
     pub fn set_parallel_overhead_ops(&mut self, ops: u64) {
-        self.overhead_ops = ops.max(1);
+        self.core.overhead_ops = ops.max(1);
     }
 
     /// The modeled per-launch parallel overhead: the calibrated value
     /// if one was installed, else
     /// [`DEFAULT_COMPILED_PARALLEL_OVERHEAD_OPS`].
     pub fn parallel_overhead_ops(&self) -> u64 {
-        self.overhead_ops
+        self.core.overhead_ops
     }
 
     /// Cost-model inputs and path decision of the most recent
@@ -774,126 +949,9 @@ impl WarpInterpreter {
         threads: u32,
         buffers: &mut [Vec<f32>],
     ) -> Result<(), ExecError> {
-        let workers = self.workers.min(threads as usize).max(1);
-        let est_ops = prog.instrs.len() as u64 * u64::from(threads);
-        let mut stats = LaunchStats {
-            threads,
-            workers,
-            est_ops,
-            overhead_ops: self.overhead_ops,
-            engine: self.engine,
-            decision: LaunchDecision::SequentialBudget,
-        };
-        if self.engine == ExecEngine::Interpreted {
-            self.last_stats = stats;
-            return self.launch_sequential(prog, threads, buffers);
-        }
-        let plan = self.plans.get_or_compile(prog, self.ctx.config());
-        if workers > 1 {
-            if plan.direct_write().is_none() {
-                stats.decision = LaunchDecision::SequentialUnproven;
-            } else {
-                let fan_out = match self.cutover {
-                    CutoverPolicy::ForceParallel => true,
-                    CutoverPolicy::ForceSequential => false,
-                    CutoverPolicy::Adaptive => {
-                        workers.min(host_parallelism()) > 1 && est_ops >= self.overhead_ops
-                    }
-                };
-                if fan_out {
-                    stats.decision = LaunchDecision::ParallelDirect;
-                    self.last_stats = stats;
-                    return self.launch_compiled_parallel(workers, &plan, threads, buffers);
-                }
-                stats.decision = LaunchDecision::SequentialCutover;
-            }
-        }
+        let (stats, result) = self.core.launch(&mut self.ctx, prog, threads, buffers);
         self.last_stats = stats;
-        self.run_compiled_sequential(&plan, threads, buffers)
-    }
-
-    /// Compiled sequential body: static fault precheck, lane blocks
-    /// over the clean tid range, scalar replay of the faulting thread's
-    /// instruction prefix, counters credited from the plan's static
-    /// cost table.
-    fn run_compiled_sequential(
-        &mut self,
-        plan: &CompiledKernel,
-        threads: u32,
-        buffers: &mut [Vec<f32>],
-    ) -> Result<(), ExecError> {
-        let fault = plan.first_fault(buffers, threads);
-        let complete = fault.as_ref().map_or(threads, |f| f.tid);
-        let mut rf = RegFile::new(plan.regs());
-        let mut mem = SeqMem { buffers };
-        plan.run_range(&mut rf, &mut mem, 0, complete);
-        if let Some(f) = &fault {
-            plan.run_prefix(&mut rf, &mut mem, f.tid, f.instr);
-        }
-        plan.absorb_into(&mut self.ctx, complete, fault.as_ref().map(|f| f.instr));
-        fault.map_or(Ok(()), |f| Err(f.err))
-    }
-
-    /// Compiled parallel body, licensed by the direct-write proof: no
-    /// snapshot copy. The static precheck bounds the clean tid range
-    /// up front, so chunks execute lane blocks against the launch-entry
-    /// buffers — *moved* behind an `Arc` and reclaimed once the pool
-    /// has dropped every chunk's captures — and hand back only their
-    /// dense disjoint output windows. Counters come from the plan's
-    /// static table — chunk workers do no counting at all.
-    fn launch_compiled_parallel(
-        &mut self,
-        workers: usize,
-        plan: &Arc<CompiledKernel>,
-        threads: u32,
-        buffers: &mut [Vec<f32>],
-    ) -> Result<(), ExecError> {
-        let fault = plan.first_fault(buffers, threads);
-        let complete = fault.as_ref().map_or(threads, |f| f.tid);
-        if complete > 0 {
-            let chunk = (complete as usize).div_ceil(workers);
-            let ranges: Vec<(u32, u32)> = (0..workers)
-                .map(|w| {
-                    let lo = (w * chunk).min(complete as usize) as u32;
-                    let hi = ((w + 1) * chunk).min(complete as usize) as u32;
-                    (lo, hi)
-                })
-                .filter(|(lo, hi)| lo < hi)
-                .collect();
-            let base: Arc<Vec<Vec<f32>>> =
-                Arc::new(buffers.iter_mut().map(std::mem::take).collect());
-            let shared = Arc::clone(&base);
-            let plan_shared = Arc::clone(plan);
-            let results = ihw_pool::sweep_with(workers, ranges, move |(lo, hi)| {
-                let mut rf = RegFile::new(plan_shared.regs());
-                let offsets = plan_shared.direct_write().expect("fan-out needs the proof");
-                let mut mem = ChunkMem::new(&shared, offsets, lo, hi);
-                plan_shared.run_range(&mut rf, &mut mem, lo, hi);
-                mem.into_windows()
-            });
-            let reclaimed = Arc::try_unwrap(base).expect("chunks released the launch snapshot");
-            for (slot, owned) in buffers.iter_mut().zip(reclaimed) {
-                *slot = owned;
-            }
-            for out in results.into_iter().flatten() {
-                let dst = &mut buffers[out.buf];
-                let blen = dst.len() as i64;
-                let from = out.start.clamp(0, blen);
-                let to = (out.start + out.vals.len() as i64).clamp(from, blen);
-                if from < to {
-                    let voff = (from - out.start) as usize;
-                    let n = (to - from) as usize;
-                    dst[from as usize..to as usize].copy_from_slice(&out.vals[voff..voff + n]);
-                }
-            }
-        }
-        if let Some(f) = &fault {
-            let mut rf = RegFile::new(plan.regs());
-            let mut mem = SeqMem { buffers };
-            plan.run_prefix(&mut rf, &mut mem, f.tid, f.instr);
-        }
-        plan.absorb_into(&mut self.ctx, complete, fault.as_ref().map(|f| f.instr));
-        fault.map_or(Ok(()), |f| Err(f.err))
+        result
     }
 
     /// Runs the launch on the sequential tid loop unconditionally (the
@@ -908,14 +966,7 @@ impl WarpInterpreter {
         threads: u32,
         buffers: &mut [Vec<f32>],
     ) -> Result<(), ExecError> {
-        let mut regs = vec![0.0f32; prog.regs as usize];
-        for tid in 0..threads {
-            regs.iter_mut().for_each(|r| *r = 0.0);
-            for instr in &prog.instrs {
-                exec_step(&mut self.ctx, *instr, tid, &mut regs, buffers)?;
-            }
-        }
-        Ok(())
+        run_interpreted(&mut self.ctx, prog, threads, buffers)
     }
 
     /// Builds the timing-model launch descriptor for a completed run.

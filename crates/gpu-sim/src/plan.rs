@@ -20,7 +20,8 @@
 //! * a closed-form first-fault precheck over the kernel's affine
 //!   access sites, which both engines' fault semantics reduce to.
 //!
-//! Plans are cached per interpreter in a [`PlanCache`] keyed on
+//! Plans are cached in one [`PlanCache`] per interpreter core, shared
+//! by every launch through it (concurrent ones included), keyed on
 //! [`PlanKey`] — a structural program fingerprint plus the typed
 //! [`IhwConfig`] itself (the same discipline as the bench runner's
 //! `RunCache`: typed keys, no stringly config labels). Fingerprint
@@ -36,7 +37,7 @@ use crate::simt::UnitClass;
 use ihw_core::config::{FpOp, IhwConfig};
 use ihw_power::system::OpCounts;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Per-thread static execution cost of a straight-line kernel (or of a
 /// prefix of one): what one thread adds to the launch counters.
@@ -445,21 +446,32 @@ pub struct PlanCacheStats {
     pub capacity: usize,
 }
 
-/// A bounded per-interpreter plan cache with deterministic LRU
-/// eviction. Lookups verify the stored instruction stream against the
-/// requesting program, so fingerprint collisions (or a program mutated
-/// under the same name) recompile instead of running a stale plan.
+/// A bounded plan cache with deterministic LRU eviction, shared by
+/// every launch through one interpreter core — including concurrent
+/// launches, so it synchronises itself. Lookups verify the stored
+/// instruction stream against the requesting program, so fingerprint
+/// collisions (or a program mutated under the same name) recompile
+/// instead of running a stale plan.
 ///
 /// Every hit or insert stamps the entry with a monotonically increasing
 /// logical tick; when an insert would exceed capacity the entry with
 /// the *smallest* stamp is evicted. Stamps are unique, so the victim is
 /// fully determined by the lookup sequence — no wall clock, no hash
 /// order — and the [`PlanCacheStats`] counters make every eviction
-/// visible. (The previous policy cleared the whole map when full, which
-/// under serve traffic with many distinct configs meant periodically
-/// recompiling the entire working set.)
-#[derive(Debug)]
+/// visible.
+///
+/// The lock covers the lookup and a miss's compile, never a launch's
+/// lane loop: concurrent cold launches of one `(program, config)`
+/// compile it exactly once (one miss, the rest hits), so the counters
+/// stay exact under any interleaving.
+#[derive(Debug, Default)]
 pub(crate) struct PlanCache {
+    lru: Mutex<Lru>,
+}
+
+/// The cache state behind [`PlanCache`]'s lock.
+#[derive(Debug)]
+struct Lru {
     entries: BTreeMap<PlanKey, PlanEntry>,
     capacity: usize,
     tick: u64,
@@ -468,11 +480,11 @@ pub(crate) struct PlanCache {
     evictions: u64,
 }
 
-impl Default for PlanCache {
+impl Default for Lru {
     fn default() -> Self {
-        PlanCache {
+        Lru {
             entries: BTreeMap::new(),
-            capacity: Self::DEFAULT_CAPACITY,
+            capacity: PlanCache::DEFAULT_CAPACITY,
             tick: 0,
             hits: 0,
             misses: 0,
@@ -481,48 +493,7 @@ impl Default for PlanCache {
     }
 }
 
-impl PlanCache {
-    /// Default bound on cached plans.
-    pub(crate) const DEFAULT_CAPACITY: usize = 64;
-
-    /// Returns the cached plan for `(prog, cfg)`, compiling on miss.
-    pub(crate) fn get_or_compile(
-        &mut self,
-        prog: &Program,
-        cfg: &IhwConfig,
-    ) -> Arc<CompiledKernel> {
-        let key = PlanKey {
-            fingerprint: fingerprint(prog),
-            config: *cfg,
-        };
-        let stamp = self.tick;
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(&key) {
-            if e.regs == prog.regs() && e.instrs == prog.instrs() {
-                e.stamp = stamp;
-                self.hits += 1;
-                return Arc::clone(&e.plan);
-            }
-        }
-        self.misses += 1;
-        if !self.entries.contains_key(&key) {
-            while self.entries.len() >= self.capacity {
-                self.evict_lru();
-            }
-        }
-        let plan = Arc::new(compile(prog, cfg));
-        self.entries.insert(
-            key,
-            PlanEntry {
-                regs: prog.regs(),
-                instrs: prog.instrs().to_vec(),
-                plan: Arc::clone(&plan),
-                stamp,
-            },
-        );
-        plan
-    }
-
+impl Lru {
     /// Removes the least-recently-used entry (smallest stamp; stamps
     /// are unique, so the victim is deterministic).
     fn evict_lru(&mut self) {
@@ -536,30 +507,80 @@ impl PlanCache {
             self.evictions += 1;
         }
     }
+}
+
+impl PlanCache {
+    /// Default bound on cached plans.
+    pub(crate) const DEFAULT_CAPACITY: usize = 64;
+
+    /// The cache state. Every update is complete before anything that
+    /// can panic (a miss counts, then compiles, then inserts), so the
+    /// state behind a poisoned lock is consistent and is used as is.
+    fn lock(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Returns the cached plan for `(prog, cfg)`, compiling on miss.
+    pub(crate) fn get_or_compile(&self, prog: &Program, cfg: &IhwConfig) -> Arc<CompiledKernel> {
+        let key = PlanKey {
+            fingerprint: fingerprint(prog),
+            config: *cfg,
+        };
+        let mut lru = self.lock();
+        let stamp = lru.tick;
+        lru.tick += 1;
+        if let Some(e) = lru.entries.get_mut(&key) {
+            if e.regs == prog.regs() && e.instrs == prog.instrs() {
+                e.stamp = stamp;
+                let plan = Arc::clone(&e.plan);
+                lru.hits += 1;
+                return plan;
+            }
+        }
+        lru.misses += 1;
+        if !lru.entries.contains_key(&key) {
+            while lru.entries.len() >= lru.capacity {
+                lru.evict_lru();
+            }
+        }
+        let plan = Arc::new(compile(prog, cfg));
+        lru.entries.insert(
+            key,
+            PlanEntry {
+                regs: prog.regs(),
+                instrs: prog.instrs().to_vec(),
+                plan: Arc::clone(&plan),
+                stamp,
+            },
+        );
+        plan
+    }
 
     /// Rebounds the cache to `capacity` plans (min 1), evicting the
     /// least-recently-used entries immediately if it now overflows.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.entries.len() > self.capacity {
-            self.evict_lru();
+    pub(crate) fn set_capacity(&self, capacity: usize) {
+        let mut lru = self.lock();
+        lru.capacity = capacity.max(1);
+        while lru.entries.len() > lru.capacity {
+            lru.evict_lru();
         }
     }
 
     /// Snapshot of the cumulative counters plus current occupancy.
     pub(crate) fn stats(&self) -> PlanCacheStats {
+        let lru = self.lock();
         PlanCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            len: self.entries.len(),
-            capacity: self.capacity,
+            hits: lru.hits,
+            misses: lru.misses,
+            evictions: lru.evictions,
+            len: lru.entries.len(),
+            capacity: lru.capacity,
         }
     }
 
     /// Number of cached plans.
     pub(crate) fn len(&self) -> usize {
-        self.entries.len()
+        self.lock().entries.len()
     }
 }
 
@@ -658,7 +679,7 @@ mod tests {
 
     #[test]
     fn cache_hits_are_typed_and_collision_checked() {
-        let mut cache = PlanCache::default();
+        let cache = PlanCache::default();
         let prog = programs::saxpy(2.0);
         let a = cache.get_or_compile(&prog, &IhwConfig::precise());
         let b = cache.get_or_compile(&prog, &IhwConfig::precise());
@@ -678,7 +699,7 @@ mod tests {
 
     #[test]
     fn churning_past_capacity_evicts_lru_not_everything() {
-        let mut cache = PlanCache::default();
+        let cache = PlanCache::default();
         let cfg = IhwConfig::precise();
         let extra = 16usize;
         let total = PlanCache::DEFAULT_CAPACITY + extra;
@@ -712,7 +733,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_is_deterministic_and_respects_recency() {
-        let mut cache = PlanCache::default();
+        let cache = PlanCache::default();
         cache.set_capacity(4);
         let prog = programs::saxpy(2.0);
         let cfg = |t: u32| IhwConfig::ray_with_ac_mul(t);

@@ -21,6 +21,13 @@ echo "== workspace tests: every crate's unit and integration tests =="
 # crate's suites run only under --workspace.
 cargo test -q --workspace
 
+echo "== perfbench: build + unit tests of the benchmark package =="
+# perfbench is its own package (empty [workspace], path deps on
+# crates/), so --workspace skips it; it is the only caller of
+# `SharedInterpreter` outside its crate, and building it here catches
+# an API break before the benchmark does.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== ihw-lint: workspace invariant audit (deny new findings) =="
 # Exits non-zero on findings not in lint-baseline.txt; the JSON
 # diagnostics (schema ihw-lint/1) are kept as a CI artifact.
