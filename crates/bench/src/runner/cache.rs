@@ -184,9 +184,9 @@ mod tests {
         // process-global jobs budget from a parallel test.
         let cache = RunCache::new();
         let calls = AtomicUsize::new(0);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|_| {
+                s.spawn(|| {
                     for _ in 0..4 {
                         let v: Arc<u32> = cache.get_or_compute("shared", || {
                             calls.fetch_add(1, Ordering::SeqCst);
@@ -197,8 +197,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .expect("scope");
+        });
         assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.hits(), 31);

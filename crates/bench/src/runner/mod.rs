@@ -6,8 +6,8 @@
 //! gives the harness three things:
 //!
 //! 1. **A worker pool** ([`sweep`]) — each sweep is expressed as a list
-//!    of independent [`SweepPoint`] jobs executed on a crossbeam
-//!    scoped-thread pool. Results are returned **in input order**, so a
+//!    of independent [`SweepPoint`] jobs executed on a persistent
+//!    worker pool. Results are returned **in input order**, so a
 //!    parallel sweep renders byte-identically to the serial one. The
 //!    pool itself lives in the `ihw-pool` crate (re-exported here
 //!    unchanged) so the kernel interpreter's proof-gated parallel

@@ -67,6 +67,12 @@ impl FpOp {
         FpOp::Fma,
     ];
 
+    /// Position of the op in [`FpOp::ALL`] (its declaration order, so
+    /// also its `Ord` rank): the slot of a dense per-op counter array.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether the op executes on the FPU (add/mul/fma) or the SFU
     /// (elementary functions), matching the paper's split.
     pub fn is_sfu(self) -> bool {

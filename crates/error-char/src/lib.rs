@@ -7,8 +7,8 @@
 //!
 //! Inputs are generated with the quasi-Monte Carlo sequences from
 //! [`ihw_qmc`], exactly as §4.2 prescribes; sampling is parallelised with
-//! crossbeam scoped threads so the paper's 200-million-input runs remain
-//! tractable.
+//! `std::thread::scope` workers so the paper's 200-million-input runs
+//! remain tractable.
 //!
 //! ```
 //! use ihw_error::{characterize, CharTarget};
@@ -46,45 +46,15 @@ pub fn characterize_binary_f32(
     samples: u64,
     seq_offset: u64,
 ) -> ErrorPmf {
-    let threads = worker_count(samples);
-    let chunk = samples / threads as u64;
-    let mut partials: Vec<ErrorPmf> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let approx = &approx;
-                let exact = &exact;
-                s.spawn(move |_| {
-                    let start = 1 + seq_offset + t as u64 * chunk;
-                    let n = if t == threads - 1 {
-                        samples - chunk * (threads as u64 - 1)
-                    } else {
-                        chunk
-                    };
-                    let mut pmf = ErrorPmf::new();
-                    for p in Halton::<2>::new().starting_at(start).take(n as usize) {
-                        let a = p[0] as f32;
-                        let b = p[1] as f32;
-                        if a == 0.0 || b == 0.0 {
-                            continue;
-                        }
-                        let e = exact(a as f64, b as f64);
-                        pmf.record(approx(a, b) as f64, e);
-                    }
-                    pmf
-                })
-            })
-            .collect();
-        for h in handles {
-            partials.push(h.join().expect("characterization worker panicked"));
+    characterize_points::<2>(samples, seq_offset, |pmf, p| {
+        let a = p[0] as f32;
+        let b = p[1] as f32;
+        if a == 0.0 || b == 0.0 {
+            return;
         }
+        let e = exact(a as f64, b as f64);
+        pmf.record(approx(a, b) as f64, e);
     })
-    .expect("characterization scope failed");
-    let mut acc = ErrorPmf::new();
-    for p in partials {
-        acc.merge(&p);
-    }
-    acc
 }
 
 /// Characterizes an arbitrary unary `f32` operation against a reference;
@@ -95,43 +65,13 @@ pub fn characterize_unary_f32(
     samples: u64,
     seq_offset: u64,
 ) -> ErrorPmf {
-    let threads = worker_count(samples);
-    let chunk = samples / threads as u64;
-    let mut partials: Vec<ErrorPmf> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let approx = &approx;
-                let exact = &exact;
-                s.spawn(move |_| {
-                    let start = 1 + seq_offset + t as u64 * chunk;
-                    let n = if t == threads - 1 {
-                        samples - chunk * (threads as u64 - 1)
-                    } else {
-                        chunk
-                    };
-                    let mut pmf = ErrorPmf::new();
-                    for p in Halton::<1>::new().starting_at(start).take(n as usize) {
-                        let x = p[0] as f32;
-                        if x == 0.0 {
-                            continue;
-                        }
-                        pmf.record(approx(x) as f64, exact(x as f64));
-                    }
-                    pmf
-                })
-            })
-            .collect();
-        for h in handles {
-            partials.push(h.join().expect("characterization worker panicked"));
+    characterize_points::<1>(samples, seq_offset, |pmf, p| {
+        let x = p[0] as f32;
+        if x == 0.0 {
+            return;
         }
+        pmf.record(approx(x) as f64, exact(x as f64));
     })
-    .expect("characterization scope failed");
-    let mut acc = ErrorPmf::new();
-    for p in partials {
-        acc.merge(&p);
-    }
-    acc
 }
 
 /// Characterizes an arbitrary binary `f64` operation against an `f64`
@@ -146,15 +86,32 @@ pub fn characterize_binary_f64(
     samples: u64,
     seq_offset: u64,
 ) -> ErrorPmf {
+    characterize_points::<2>(samples, seq_offset, |pmf, p| {
+        let (a, b) = (p[0], p[1]);
+        if a == 0.0 || b == 0.0 {
+            return;
+        }
+        pmf.record(approx(a, b), exact(a, b));
+    })
+}
+
+/// Feeds Halton points `1 + seq_offset ..` (`samples` of them) to
+/// `record`. The points are split into one contiguous chunk per worker
+/// (the last chunk takes the remainder), each chunk fills its own PMF on
+/// a scoped thread, and the partials are merged in chunk order, so
+/// equal inputs and worker counts give bit-identical PMFs.
+fn characterize_points<const D: usize>(
+    samples: u64,
+    seq_offset: u64,
+    record: impl Fn(&mut ErrorPmf, [f64; D]) + Sync,
+) -> ErrorPmf {
     let threads = worker_count(samples);
     let chunk = samples / threads as u64;
-    let mut partials: Vec<ErrorPmf> = Vec::with_capacity(threads);
-    crossbeam::thread::scope(|s| {
+    let record = &record;
+    let partials: Vec<ErrorPmf> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
-                let approx = &approx;
-                let exact = &exact;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let start = 1 + seq_offset + t as u64 * chunk;
                     let n = if t == threads - 1 {
                         samples - chunk * (threads as u64 - 1)
@@ -162,22 +119,18 @@ pub fn characterize_binary_f64(
                         chunk
                     };
                     let mut pmf = ErrorPmf::new();
-                    for p in Halton::<2>::new().starting_at(start).take(n as usize) {
-                        let (a, b) = (p[0], p[1]);
-                        if a == 0.0 || b == 0.0 {
-                            continue;
-                        }
-                        pmf.record(approx(a, b), exact(a, b));
+                    for p in Halton::<D>::new().starting_at(start).take(n as usize) {
+                        record(&mut pmf, p);
                     }
                     pmf
                 })
             })
             .collect();
-        for h in handles {
-            partials.push(h.join().expect("characterization worker panicked"));
-        }
-    })
-    .expect("characterization scope failed");
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("characterization worker panicked"))
+            .collect()
+    });
     let mut acc = ErrorPmf::new();
     for p in partials {
         acc.merge(&p);

@@ -4,21 +4,72 @@
 //! reference. Non-zero relative errors are binned by
 //! `x = ⌈log₂ |ERR%|⌉` — the paper's Figure 8 axis — so a bar at `x = −2`
 //! is the probability that the error percentage lies in `(2⁻³%, 2⁻²%]`.
+//!
+//! The bins are one dense counter array, indexed by bin, so recording a
+//! sample is an array increment rather than a map update.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+
+/// Smallest finite bin: `⌈log₂ p⌉` of the smallest positive `f64`
+/// (`2⁻¹⁰⁷⁴`).
+const MIN_FINITE_BIN: i32 = -1074;
+/// Largest finite bin: `⌈log₂ p⌉` of any finite `f64` is at most 1024.
+const MAX_FINITE_BIN: i32 = 1024;
+/// One slot per finite bin plus the two saturated edges of the
+/// `as i32` cast: `i32::MIN` (a percentage of 0, where `log₂` is −∞)
+/// first and `i32::MAX` (an infinite percentage) last. A NaN error
+/// casts to bin 0, a finite bin.
+const SLOTS: usize = (MAX_FINITE_BIN - MIN_FINITE_BIN) as usize + 3;
+
+/// Counter slot of `bin`, or `None` for a bin no sample can land in.
+fn slot(bin: i32) -> Option<usize> {
+    match bin {
+        i32::MIN => Some(0),
+        i32::MAX => Some(SLOTS - 1),
+        MIN_FINITE_BIN..=MAX_FINITE_BIN => Some((bin - MIN_FINITE_BIN) as usize + 1),
+        _ => None,
+    }
+}
+
+/// Inverse of [`slot`].
+fn bin_at(slot: usize) -> i32 {
+    match slot {
+        0 => i32::MIN,
+        s if s == SLOTS - 1 => i32::MAX,
+        s => s as i32 - 1 + MIN_FINITE_BIN,
+    }
+}
 
 /// Error distribution of an imprecise unit under a given input
 /// distribution, with the summary statistics of §4.2.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Bin counts live in a dense array spanning every bin an `f64` sample
+/// can produce, so readers that walk the bins ([`ErrorPmf::iter`],
+/// [`ErrorPmf::mode_bin`], [`ErrorPmf::tail_probability`]) visit the
+/// non-empty ones in ascending bin order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ErrorPmf {
-    bins: BTreeMap<i32, u64>,
+    bins: Vec<u64>,
     exact_matches: u64,
     total: u64,
     max_err: f64,
     sum_err: f64,
     max_dist: f64,
     sum_dist: f64,
+}
+
+impl Default for ErrorPmf {
+    fn default() -> Self {
+        ErrorPmf {
+            bins: vec![0; SLOTS],
+            exact_matches: 0,
+            total: 0,
+            max_err: 0.0,
+            sum_err: 0.0,
+            max_dist: 0.0,
+            sum_dist: 0.0,
+        }
+    }
 }
 
 impl ErrorPmf {
@@ -51,13 +102,13 @@ impl ErrorPmf {
         self.sum_err += rel;
         let pct = rel * 100.0;
         let bin = pct.log2().ceil() as i32;
-        *self.bins.entry(bin).or_insert(0) += 1;
+        self.bins[slot(bin).expect("every f64 percentage has a bin")] += 1;
     }
 
     /// Merges another distribution into this one.
     pub fn merge(&mut self, other: &ErrorPmf) {
-        for (&bin, &count) in &other.bins {
-            *self.bins.entry(bin).or_insert(0) += count;
+        for (mine, theirs) in self.bins.iter_mut().zip(&other.bins) {
+            *mine += theirs;
         }
         self.exact_matches += other.exact_matches;
         self.total += other.total;
@@ -65,6 +116,15 @@ impl ErrorPmf {
         self.sum_err += other.sum_err;
         self.max_dist = self.max_dist.max(other.max_dist);
         self.sum_dist += other.sum_dist;
+    }
+
+    /// Non-empty `(bin, count)` pairs in ascending bin order.
+    fn counts(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
+        self.bins
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0)
+            .map(|(s, &c)| (bin_at(s), c))
     }
 
     /// Number of samples recorded.
@@ -115,19 +175,21 @@ impl ErrorPmf {
         if self.total == 0 {
             0.0
         } else {
-            *self.bins.get(&bin).unwrap_or(&0) as f64 / self.total as f64
+            slot(bin).map_or(0, |s| self.bins[s]) as f64 / self.total as f64
         }
     }
 
-    /// Iterates `(bin, probability)` pairs in ascending bin order.
+    /// Iterates `(bin, probability)` pairs of the non-empty bins in
+    /// ascending bin order.
     pub fn iter(&self) -> impl Iterator<Item = (i32, f64)> + '_ {
         let total = self.total.max(1) as f64;
-        self.bins.iter().map(move |(&b, &c)| (b, c as f64 / total))
+        self.counts().map(move |(b, c)| (b, c as f64 / total))
     }
 
-    /// The bin holding the largest probability mass, if any error occurred.
+    /// The bin holding the largest probability mass, if any error
+    /// occurred (the highest such bin on a tie).
     pub fn mode_bin(&self) -> Option<i32> {
-        self.bins.iter().max_by_key(|(_, &c)| c).map(|(&b, _)| b)
+        self.counts().max_by_key(|&(_, c)| c).map(|(b, _)| b)
     }
 
     /// Probability that the error percentage exceeds `threshold_pct`.
@@ -141,10 +203,9 @@ impl ErrorPmf {
         }
         let cut = threshold_pct.log2();
         let count: u64 = self
-            .bins
-            .iter()
-            .filter(|(&b, _)| (b as f64) > cut) // bins strictly above the threshold bin
-            .map(|(_, &c)| c)
+            .counts()
+            .filter(|&(b, _)| (b as f64) > cut) // bins strictly above the threshold bin
+            .map(|(_, c)| c)
             .sum();
         count as f64 / self.total as f64
     }
@@ -295,5 +356,245 @@ mod tests {
         let chart = p.to_ascii_chart("demo");
         assert!(chart.contains("demo"));
         assert!(chart.contains("2^"));
+    }
+
+    /// `BTreeMap` reference model of the bins: every bin reader must
+    /// agree with it.
+    mod reference_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+        use std::fmt::Write;
+
+        #[derive(Default)]
+        struct MapBins {
+            bins: BTreeMap<i32, u64>,
+            total: u64,
+        }
+
+        impl MapBins {
+            fn record(&mut self, approx: f64, exact: f64) {
+                self.total += 1;
+                let dist = (approx - exact).abs();
+                if dist == 0.0 {
+                    return;
+                }
+                let rel = if exact != 0.0 {
+                    dist / exact.abs()
+                } else {
+                    f64::INFINITY
+                };
+                let bin = (rel * 100.0).log2().ceil() as i32;
+                *self.bins.entry(bin).or_insert(0) += 1;
+            }
+
+            fn iter(&self) -> Vec<(i32, f64)> {
+                let total = self.total.max(1) as f64;
+                self.bins
+                    .iter()
+                    .map(|(&b, &c)| (b, c as f64 / total))
+                    .collect()
+            }
+
+            fn bin_probability(&self, bin: i32) -> f64 {
+                if self.total == 0 {
+                    0.0
+                } else {
+                    *self.bins.get(&bin).unwrap_or(&0) as f64 / self.total as f64
+                }
+            }
+
+            fn mode_bin(&self) -> Option<i32> {
+                self.bins.iter().max_by_key(|(_, &c)| c).map(|(&b, _)| b)
+            }
+
+            fn tail_probability(&self, threshold_pct: f64) -> f64 {
+                if self.total == 0 {
+                    return 0.0;
+                }
+                let cut = threshold_pct.log2();
+                let count: u64 = self
+                    .bins
+                    .iter()
+                    .filter(|(&b, _)| (b as f64) > cut)
+                    .map(|(_, &c)| c)
+                    .sum();
+                count as f64 / self.total as f64
+            }
+
+            /// The CSV bin rows; the trailing summary line is built from
+            /// `pmf`'s scalar statistics, which the bin layout does not
+            /// touch.
+            fn to_csv(&self, label: &str, pmf: &ErrorPmf) -> String {
+                let mut out = String::from("bin_log2_err_pct,probability\n");
+                for (bin, p) in self.iter() {
+                    let _ = writeln!(out, "{bin},{p}");
+                }
+                let _ = writeln!(
+                    out,
+                    "# {label}: error_rate={} max_pct={} mean_pct={} med={} wed={}",
+                    pmf.error_rate(),
+                    pmf.max_error_pct(),
+                    pmf.mean_error_pct(),
+                    pmf.med(),
+                    pmf.wed()
+                );
+                out
+            }
+        }
+
+        /// A sample operand: the IEEE edge values (zeros, infinities,
+        /// NaN, the smallest subnormal, random subnormals, `f64::MAX`),
+        /// arbitrary bit patterns, and ordinary magnitudes.
+        fn operand(kind: u64, bits: u64) -> f64 {
+            match kind % 10 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::INFINITY,
+                3 => f64::NEG_INFINITY,
+                4 => f64::NAN,
+                5 => f64::from_bits(1),
+                6 => f64::from_bits(bits & 0x000f_ffff_ffff_ffff),
+                7 => f64::MAX,
+                8 => f64::from_bits(bits),
+                _ => 0.5 + (bits >> 11) as f64 / (1u64 << 53) as f64,
+            }
+        }
+
+        /// An `(approx, exact)` pair: an exact match, a nearby
+        /// approximation (relative error from 2⁻⁵² up to ~2⁸), or two
+        /// independent operands.
+        fn arb_pair() -> impl Strategy<Value = (f64, f64)> {
+            (
+                0u64..4,
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+            )
+                .prop_map(|(shape, ka, ba, ke, be)| {
+                    let exact = operand(ke, be);
+                    let approx = match shape {
+                        0 => exact,
+                        1 => {
+                            let eps = f64::from_bits(((0x3cb + ba % 61) << 52) | (ba >> 12));
+                            exact * (1.0 + eps)
+                        }
+                        _ => operand(ka, ba),
+                    };
+                    (approx, exact)
+                })
+        }
+
+        fn assert_matches(pmf: &ErrorPmf, map: &MapBins, probes: &[i32]) {
+            assert_eq!(pmf.total(), map.total);
+            assert_eq!(pmf.iter().collect::<Vec<_>>(), map.iter());
+            for &bin in map.bins.keys().chain(probes) {
+                assert_eq!(
+                    pmf.bin_probability(bin),
+                    map.bin_probability(bin),
+                    "bin {bin}"
+                );
+            }
+            assert_eq!(pmf.mode_bin(), map.mode_bin());
+            for t in [
+                0.0,
+                1e-300,
+                1e-6,
+                0.3,
+                8.0,
+                100.0,
+                1e300,
+                f64::INFINITY,
+                f64::NAN,
+            ] {
+                assert_eq!(
+                    pmf.tail_probability(t),
+                    map.tail_probability(t),
+                    "threshold {t}"
+                );
+            }
+            assert_eq!(pmf.to_csv("unit"), map.to_csv("unit", pmf));
+        }
+
+        const PROBES: [i32; 9] = [i32::MIN, -2000, -1075, -1074, -1, 0, 1024, 1025, i32::MAX];
+
+        #[test]
+        fn slots_cover_every_bin_including_the_saturated_edges() {
+            for bin in [i32::MIN, MIN_FINITE_BIN, -2, 0, 6, MAX_FINITE_BIN, i32::MAX] {
+                let s = slot(bin).expect("bin has a slot");
+                assert_eq!(bin_at(s), bin);
+            }
+            assert_eq!(slot(i32::MIN), Some(0));
+            assert_eq!(slot(i32::MAX), Some(SLOTS - 1));
+            for bin in [
+                i32::MIN + 1,
+                MIN_FINITE_BIN - 1,
+                MAX_FINITE_BIN + 1,
+                i32::MAX - 1,
+            ] {
+                assert_eq!(slot(bin), None, "bin {bin}");
+            }
+            // The cast saturates exactly onto the edge slots and the
+            // finite extremes stay in range.
+            assert_eq!(0f64.log2().ceil() as i32, i32::MIN);
+            assert_eq!(f64::INFINITY.log2().ceil() as i32, i32::MAX);
+            assert_eq!(f64::NAN.log2().ceil() as i32, 0);
+            assert_eq!(f64::from_bits(1).log2().ceil() as i32, MIN_FINITE_BIN);
+            assert_eq!(f64::MAX.log2().ceil() as i32, MAX_FINITE_BIN);
+        }
+
+        #[test]
+        fn edge_samples_land_in_their_bins() {
+            let mut pmf = ErrorPmf::new();
+            pmf.record(0.5, 0.0); // zero reference: i32::MAX
+            pmf.record(f64::INFINITY, 1.0); // infinite error: i32::MAX
+            pmf.record(f64::NAN, 1.0); // NaN error: bin 0
+            pmf.record(1.0, f64::INFINITY); // ∞/∞: NaN, bin 0
+            pmf.record(f64::MAX, f64::from_bits(1)); // overflowing ratio: i32::MAX
+            assert_eq!(pmf.bin_probability(i32::MAX), 3.0 / 5.0);
+            assert_eq!(pmf.bin_probability(0), 2.0 / 5.0);
+            assert_eq!(pmf.mode_bin(), Some(i32::MAX));
+            let bins: Vec<i32> = pmf.iter().map(|(b, _)| b).collect();
+            assert_eq!(bins, [0, i32::MAX]);
+        }
+
+        #[test]
+        fn mode_ties_resolve_to_the_highest_bin() {
+            let mut pmf = ErrorPmf::new();
+            pmf.record(1.03, 1.0); // bin 2
+            pmf.record(1.5, 1.0); // bin 6
+            pmf.record(0.5, 0.0); // i32::MAX
+            pmf.record(1.002, 1.0); // bin -2
+            assert_eq!(pmf.mode_bin(), Some(i32::MAX));
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn serial_and_merged_records_match_the_map(
+                pairs in proptest::collection::vec(arb_pair(), 0..200),
+                parts in 1usize..6
+            ) {
+                let mut map = MapBins::default();
+                let mut serial = ErrorPmf::new();
+                for &(a, e) in &pairs {
+                    map.record(a, e);
+                    serial.record(a, e);
+                }
+                assert_matches(&serial, &map, &PROBES);
+
+                let mut merged = ErrorPmf::new();
+                for chunk in pairs.chunks(pairs.len().div_ceil(parts).max(1)) {
+                    let mut partial = ErrorPmf::new();
+                    for &(a, e) in chunk {
+                        partial.record(a, e);
+                    }
+                    merged.merge(&partial);
+                }
+                assert_matches(&merged, &map, &PROBES);
+            }
+        }
     }
 }

@@ -14,6 +14,11 @@ use ihw_power::system::OpCounts;
 
 /// Counting arithmetic dispatcher ("the knob" plus performance counters).
 ///
+/// Every counted op runs its unit and bumps one slot of the dense
+/// [`OpCounts`] array (plus a trace push when tracing), so the counter
+/// costs an increment, not a lookup, on the functional simulator's
+/// innermost path.
+///
 /// ```
 /// use gpu_sim::dispatch::FpCtx;
 /// use ihw_core::config::{FpOp, IhwConfig};

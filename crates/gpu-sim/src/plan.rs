@@ -15,8 +15,8 @@
 //! * a static cost table — per-thread [`OpCounts`], integer/memory op
 //!   totals, and the `UnitClass` trace pattern — because a
 //!   straight-line kernel executes the same units for every thread, the
-//!   launch counters are a multiplication, not 32 768 `BTreeMap`
-//!   updates;
+//!   launch counters are one multiplication per op class, not one
+//!   counter update per thread-instruction;
 //! * a closed-form first-fault precheck over the kernel's affine
 //!   access sites, which both engines' fault semantics reduce to.
 //!
@@ -312,13 +312,7 @@ impl CompiledKernel {
     pub(crate) fn absorb_into(&self, ctx: &mut FpCtx, complete: u32, fault_instr: Option<usize>) {
         let mut counts = OpCounts::new();
         for (op, c) in self.per_thread.counts.iter() {
-            let n = c * u64::from(complete);
-            // Skip zero totals: the interpreter never materializes a
-            // counter it did not touch, and `OpCounts` equality is map
-            // equality.
-            if n > 0 {
-                counts.record(op, n);
-            }
+            counts.record(op, c * u64::from(complete));
         }
         let mut int_ops = self.per_thread.int_ops * u64::from(complete);
         let mut mem_ops = self.per_thread.mem_ops * u64::from(complete);

@@ -755,6 +755,15 @@ mod tests {
     }
 
     #[test]
+    fn zero_thread_op_counts_are_empty() {
+        // Every instruction records `n = 0`: the counters must read as
+        // untouched, not as explicit zero entries.
+        let counts = op_counts(&programs::distance(), 0);
+        assert_eq!(counts, OpCounts::new());
+        assert_eq!(counts.iter().count(), 0);
+    }
+
+    #[test]
     fn usage_errors_exit_2() {
         assert_eq!(run(&s(&["--bogus"])), 2);
         assert_eq!(run(&s(&["--target"])), 2);

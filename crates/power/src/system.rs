@@ -17,16 +17,20 @@ use crate::library::{Precision, SynthesisLibrary};
 use crate::mul_power::mul_power_mw;
 use ihw_core::config::{FpOp, IhwConfig, MulUnit};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Core clock of the execution pipeline used by GPUWattch and this model.
 pub const CORE_CLOCK_GHZ: f64 = 0.7;
 
 /// Per-opcode dynamic instruction counts (the "performance counters" read
 /// by `init_perf_acc` in Figure 12).
+///
+/// One `u64` per [`FpOp`], indexed by [`FpOp::index`]: recording an op is
+/// a single array increment, cheap enough to sit in the functional
+/// simulator's innermost loop. Equality compares counts, so a counter
+/// that was touched with `n = 0` equals one that never was.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OpCounts {
-    counts: BTreeMap<FpOp, u64>,
+    counts: [u64; FpOp::ALL.len()],
 }
 
 impl OpCounts {
@@ -36,48 +40,51 @@ impl OpCounts {
     }
 
     /// Adds `n` executions of `op`.
+    #[inline]
     pub fn record(&mut self, op: FpOp, n: u64) {
-        *self.counts.entry(op).or_insert(0) += n;
+        self.counts[op.index()] += n;
     }
 
     /// Count for one op class.
     pub fn get(&self, op: FpOp) -> u64 {
-        *self.counts.get(&op).unwrap_or(&0)
+        self.counts[op.index()]
     }
 
     /// Total dynamic op count.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Total count of FPU-class ops (add/mul/fma).
     pub fn fpu_total(&self) -> u64 {
-        self.counts
-            .iter()
+        self.iter()
             .filter(|(op, _)| !op.is_sfu())
-            .map(|(_, &c)| c)
+            .map(|(_, c)| c)
             .sum()
     }
 
     /// Total count of SFU-class ops.
     pub fn sfu_total(&self) -> u64 {
-        self.counts
-            .iter()
+        self.iter()
             .filter(|(op, _)| op.is_sfu())
-            .map(|(_, &c)| c)
+            .map(|(_, c)| c)
             .sum()
     }
 
     /// Merges another counter set into this one.
     pub fn merge(&mut self, other: &OpCounts) {
-        for (&op, &c) in &other.counts {
-            self.record(op, c);
+        for (mine, theirs) in self.counts.iter_mut().zip(other.counts) {
+            *mine += theirs;
         }
     }
 
-    /// Iterates `(op, count)` pairs with non-zero counts.
+    /// Iterates `(op, count)` pairs with non-zero counts, in [`FpOp`]
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (FpOp, u64)> + '_ {
-        self.counts.iter().map(|(&op, &c)| (op, c))
+        FpOp::ALL
+            .into_iter()
+            .zip(self.counts)
+            .filter(|&(_, c)| c != 0)
     }
 }
 
@@ -203,9 +210,6 @@ impl SystemPowerModel {
         let mut dw_sfu_lat = 0.0;
 
         for (op, acc) in counts.iter() {
-            if acc == 0 {
-                continue;
-            }
             let dw = self.lib.dwip(op);
             let (ihw_pwr, ihw_lat) = self.unit_metrics(op, cfg);
             let i_pipe = self.pipe_latency_ns(acc, ihw_lat);
@@ -261,9 +265,6 @@ impl SystemPowerModel {
         let mut energy_pj = 0.0;
         let mut delay_ns = 0.0;
         for (op, acc) in counts.iter() {
-            if acc == 0 {
-                continue;
-            }
             let (pwr, lat) = self.unit_metrics(op, cfg);
             let pipe = self.pipe_latency_ns(acc, lat);
             energy_pj += pwr * pipe;
@@ -304,6 +305,8 @@ impl SystemPowerModel {
 
     /// Pipeline latency in ns: `acc − 1` throughput cycles plus the unit's
     /// latency rounded up to whole cycles (Figure 12's `i_pipe_lat`).
+    /// `acc` is at least 1: callers take it from `OpCounts::iter`, which
+    /// yields non-zero counts only.
     fn pipe_latency_ns(&self, acc: u64, unit_latency_ns: f64) -> f64 {
         let cycles = (unit_latency_ns * self.clk_ghz).ceil();
         ((acc - 1) as f64 + cycles) / self.clk_ghz
@@ -475,5 +478,101 @@ mod tests {
             PowerShares::new(0.2, 0.1),
         );
         assert_eq!(est.system_savings, 0.0);
+    }
+
+    /// `BTreeMap` reference model of the counters: every reader of the
+    /// array must agree with it.
+    mod reference_model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// `(op, n)` records; a third of the counts are zero, which the
+        /// map materialised as explicit entries.
+        fn arb_records() -> impl Strategy<Value = Vec<(FpOp, u64)>> {
+            proptest::collection::vec((0..FpOp::ALL.len(), 0u64..3, 1u64..1_000_000), 0..40)
+                .prop_map(|v| {
+                    v.into_iter()
+                        .map(|(i, zero, n)| (FpOp::ALL[i], if zero == 0 { 0 } else { n }))
+                        .collect()
+                })
+        }
+
+        fn model(records: &[(FpOp, u64)]) -> BTreeMap<FpOp, u64> {
+            let mut m = BTreeMap::new();
+            for &(op, n) in records {
+                *m.entry(op).or_insert(0) += n;
+            }
+            m
+        }
+
+        fn counts(records: &[(FpOp, u64)]) -> OpCounts {
+            let mut c = OpCounts::new();
+            for &(op, n) in records {
+                c.record(op, n);
+            }
+            c
+        }
+
+        fn assert_matches(c: &OpCounts, m: &BTreeMap<FpOp, u64>) {
+            for op in FpOp::ALL {
+                assert_eq!(c.get(op), m.get(&op).copied().unwrap_or(0), "{op:?}");
+            }
+            assert_eq!(c.total(), m.values().sum::<u64>());
+            let class = |sfu: bool| -> u64 {
+                m.iter()
+                    .filter(|(op, _)| op.is_sfu() == sfu)
+                    .map(|(_, &n)| n)
+                    .sum()
+            };
+            assert_eq!(c.fpu_total(), class(false));
+            assert_eq!(c.sfu_total(), class(true));
+            let nonzero: Vec<(FpOp, u64)> = m
+                .iter()
+                .filter(|(_, &n)| n != 0)
+                .map(|(&op, &n)| (op, n))
+                .collect();
+            assert_eq!(
+                c.iter().collect::<Vec<_>>(),
+                nonzero,
+                "iter order and zero skipping"
+            );
+        }
+
+        #[test]
+        fn index_is_position_in_all_and_in_ord() {
+            for (i, op) in FpOp::ALL.into_iter().enumerate() {
+                assert_eq!(op.index(), i);
+            }
+            assert!(FpOp::ALL.windows(2).all(|w| w[0] < w[1]));
+        }
+
+        #[test]
+        fn explicit_zero_records_are_invisible() {
+            let mut c = OpCounts::new();
+            c.record(FpOp::Mul, 0);
+            c.record(FpOp::Log2, 0);
+            assert_eq!(c, OpCounts::new());
+            assert_eq!(c.iter().count(), 0);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn record_and_readers_match_the_map(records in arb_records()) {
+                assert_matches(&counts(&records), &model(&records));
+            }
+
+            #[test]
+            fn merge_matches_the_map(a in arb_records(), b in arb_records()) {
+                let mut merged = counts(&a);
+                merged.merge(&counts(&b));
+                let all: Vec<_> = a.iter().chain(&b).copied().collect();
+                assert_matches(&merged, &model(&all));
+                prop_assert_eq!(merged, counts(&all));
+                prop_assert_eq!(counts(&all), all.iter().copied().collect::<OpCounts>());
+            }
+        }
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, tier-1 tests, and a smoke run of the
-# repro harness with timings (exercises the parallel runner + run cache).
+# Local CI gate: formatting, lints, tier-1 tests, the byte identity of
+# `repro all` against its golden output, and a smoke run of the repro
+# harness with timings (exercises the parallel runner + run cache).
 # Run from anywhere; `just ci` delegates here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -100,6 +101,15 @@ echo "== bench-compiled: compiled engine must beat the interpreter =="
 cargo run --release -p ihw-bench --bin repro -- racecheck --bench \
     --threads 16384 --repeats 2 --min-compiled-speedup 5.0 \
     --out target/bench-compiled.json
+
+echo "== repro-identity: repro all equals the golden output at any --jobs =="
+# Fails if the 27 tables and figures of `repro all` differ by one byte
+# from perfbench/expected/repro_all.txt, at the default worker budget or
+# serially. The golden file is only read here, never refreshed.
+cargo run --release -p ihw-bench --bin repro -- all > target/repro_all.txt
+cmp target/repro_all.txt perfbench/expected/repro_all.txt
+cargo run --release -p ihw-bench --bin repro -- --jobs 1 all > target/repro_all_jobs1.txt
+cmp target/repro_all_jobs1.txt perfbench/expected/repro_all.txt
 
 echo "== smoke: repro --timings table5 fig14 =="
 cargo run --release -p ihw-bench --bin repro -- --timings table5 fig14
